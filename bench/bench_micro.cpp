@@ -193,20 +193,35 @@ void BM_SingleGemmPackCache(benchmark::State& state) {
 BENCHMARK(BM_SingleGemmPackCache)->Arg(0)->Arg(1)->UseRealTime();
 
 // Amortized cost of the packing pass itself (the one-off per (GEMM,
-// strategy) work the specialized path adds before its first tile).
+// strategy) work the specialized path adds before its first tile), per
+// pack path: Args({strategy id, path}) with path 0 = N/N (row copies),
+// 1 = op_a T, 2 = op_b T (transposing walks), 3 = gathered B (the staged
+// per-element path). The dims are square, so the N/N operands also serve
+// as the transposed and gathered views.
 void BM_PackPanels(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
+  static const char* const kPaths[] = {"N/N", "T/N", "N/T", "gather"};
+  const int path = static_cast<int>(state.range(1));
+  if (path == 1) f.g.op_a = Op::kT;
+  if (path == 2) f.g.op_b = Op::kT;
+  if (path == 3) {
+    const float* b = f.b.data();
+    f.g.b = nullptr;
+    f.g.b_gather = [b, n = d.n](int k, int j) {
+      return b[static_cast<std::size_t>(k) * n + j];
+    };
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(pack_gemm(s, f.g));
   }
   state.SetBytesProcessed(
       state.iterations() *
       static_cast<long long>(pack_footprint_bytes(s, d)));
-  state.SetLabel(s.name());
+  state.SetLabel(s.name() + " " + kPaths[path]);
 }
-BENCHMARK(BM_PackPanels)->Arg(0)->Arg(5)->Arg(11);
+BENCHMARK(BM_PackPanels)->ArgsProduct({{0, 5, 11}, {0, 1, 2, 3}});
 
 void BM_ReferenceGemmBlocked(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

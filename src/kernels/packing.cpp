@@ -1,7 +1,9 @@
 #include "kernels/packing.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
@@ -62,6 +64,78 @@ std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d) {
   return static_cast<std::size_t>(floats) * sizeof(float);
 }
 
+namespace {
+
+// One BY x BK A block at `out[i * BK + p]` = staged A(row0 + i, k0 + p).
+// The per-element staged path: the only one for fp16.
+void stage_a_block(const GemmOperands& g, int row0, int k0, int by, int bk,
+                   float* out) {
+  for (int i = 0; i < by; ++i)
+    for (int p = 0; p < bk; ++p) *out++ = staged_a_value(g, row0 + i, k0 + p);
+}
+
+// The same block for fp32 A read from storage, as bulk copies: op N copies
+// each in-range block row as one run, op T walks A's stored rows
+// contiguously; the ragged remainder is written as zeros.
+void copy_a_block(const GemmOperands& g, int row0, int k0, int by, int bk,
+                  float* out) {
+  const auto& d = g.dims;
+  const int rows = std::min(by, d.m - row0);
+  const int kn = std::min(bk, d.k - k0);
+  if (g.op_a == Op::kN) {
+    for (int i = 0; i < rows; ++i) {
+      float* dst = out + static_cast<std::size_t>(i) * bk;
+      std::memcpy(dst, g.a + static_cast<std::size_t>(row0 + i) * d.k + k0,
+                  static_cast<std::size_t>(kn) * sizeof(float));
+      std::fill(dst + kn, dst + bk, 0.0f);
+    }
+    std::fill(out + static_cast<std::size_t>(rows) * bk,
+              out + static_cast<std::size_t>(by) * bk, 0.0f);
+    return;
+  }
+  if (rows < by || kn < bk)
+    std::fill(out, out + static_cast<std::size_t>(by) * bk, 0.0f);
+  for (int p = 0; p < kn; ++p) {
+    const float* src = g.a + static_cast<std::size_t>(k0 + p) * d.m + row0;
+    for (int i = 0; i < rows; ++i) out[i * bk + p] = src[i];
+  }
+}
+
+// One BK x BX B block at `out[p * BX + j]` = staged B(k0 + p, col0 + j).
+// The per-element staged path: the only one for fp16 and for b_gather.
+void stage_b_block(const GemmOperands& g, int k0, int col0, int bk, int bx,
+                   float* out) {
+  for (int p = 0; p < bk; ++p)
+    for (int j = 0; j < bx; ++j) *out++ = staged_b_value(g, k0 + p, col0 + j);
+}
+
+// The same block for fp32 B read from storage; see copy_a_block.
+void copy_b_block(const GemmOperands& g, int k0, int col0, int bk, int bx,
+                  float* out) {
+  const auto& d = g.dims;
+  const int kn = std::min(bk, d.k - k0);
+  const int cols = std::min(bx, d.n - col0);
+  if (g.op_b == Op::kN) {
+    for (int p = 0; p < kn; ++p) {
+      float* dst = out + static_cast<std::size_t>(p) * bx;
+      std::memcpy(dst, g.b + static_cast<std::size_t>(k0 + p) * d.n + col0,
+                  static_cast<std::size_t>(cols) * sizeof(float));
+      std::fill(dst + cols, dst + bx, 0.0f);
+    }
+    std::fill(out + static_cast<std::size_t>(kn) * bx,
+              out + static_cast<std::size_t>(bk) * bx, 0.0f);
+    return;
+  }
+  if (kn < bk || cols < bx)
+    std::fill(out, out + static_cast<std::size_t>(bk) * bx, 0.0f);
+  for (int j = 0; j < cols; ++j) {
+    const float* src = g.b + static_cast<std::size_t>(col0 + j) * d.k + k0;
+    for (int p = 0; p < kn; ++p) out[p * bx + j] = src[p];
+  }
+}
+
+}  // namespace
+
 PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g) {
   CTB_CHECK(g.a != nullptr && g.dims.valid());
   CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
@@ -74,35 +148,27 @@ PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g) {
   pk.nsteps = (d.k + s.bk - 1) / s.bk;
   pk.ty_count = (d.m + s.by - 1) / s.by;
   pk.tx_count = (d.n + s.bx - 1) / s.bx;
-  pk.a.resize(static_cast<std::size_t>(pk.ty_count) * pk.nsteps *
-              (s.by * s.bk));
-  pk.b.resize(static_cast<std::size_t>(pk.tx_count) * pk.nsteps *
-              (s.bk * s.bx));
+  // Uninitialized (PanelBuffer): the block writers below cover every
+  // element of both buffers, padding included, so no zero-fill pass.
+  const std::size_t a_block = static_cast<std::size_t>(s.by) * s.bk;
+  const std::size_t b_block = static_cast<std::size_t>(s.bk) * s.bx;
+  pk.a.resize(static_cast<std::size_t>(pk.ty_count) * pk.nsteps * a_block);
+  pk.b.resize(static_cast<std::size_t>(pk.tx_count) * pk.nsteps * b_block);
 
-  // A panels: the write side walks the buffer sequentially; the staged
-  // value resolves bounds/transpose/fp16 once, here, instead of once per
-  // consuming tile x K-step in the generic path.
+  // Bounds/transpose/fp16/gather resolve once, here, instead of once per
+  // consuming tile x K-step in the generic path. Both buffers are written
+  // sequentially, block by block.
+  const bool fp32 = g.precision == Precision::kFp32;
+  const auto a_writer = fp32 ? copy_a_block : stage_a_block;
+  const auto b_writer = fp32 && !g.b_gather ? copy_b_block : stage_b_block;
   float* out = pk.a.data();
-  for (int ty = 0; ty < pk.ty_count; ++ty) {
-    const int row0 = ty * s.by;
-    for (int step = 0; step < pk.nsteps; ++step) {
-      const int k0 = step * s.bk;
-      for (int i = 0; i < s.by; ++i)
-        for (int p = 0; p < s.bk; ++p)
-          *out++ = staged_a_value(g, row0 + i, k0 + p);
-    }
-  }
-  // B panels, including the one-time materialization of b_gather.
+  for (int ty = 0; ty < pk.ty_count; ++ty)
+    for (int step = 0; step < pk.nsteps; ++step, out += a_block)
+      a_writer(g, ty * s.by, step * s.bk, s.by, s.bk, out);
   out = pk.b.data();
-  for (int tx = 0; tx < pk.tx_count; ++tx) {
-    const int col0 = tx * s.bx;
-    for (int step = 0; step < pk.nsteps; ++step) {
-      const int k0 = step * s.bk;
-      for (int p = 0; p < s.bk; ++p)
-        for (int j = 0; j < s.bx; ++j)
-          *out++ = staged_b_value(g, k0 + p, col0 + j);
-    }
-  }
+  for (int tx = 0; tx < pk.tx_count; ++tx)
+    for (int step = 0; step < pk.nsteps; ++step, out += b_block)
+      b_writer(g, step * s.bk, tx * s.bx, s.bk, s.bx, out);
 
   CTB_TEL_COUNT("exec.pack.panels", pk.ty_count + pk.tx_count);
   CTB_TEL_COUNT("exec.pack.bytes", pk.bytes());

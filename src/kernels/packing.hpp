@@ -11,11 +11,22 @@
 // fp16 path, `b_gather` materialized). Interior K-loop iterations of the
 // microkernel then read branch-free contiguous memory.
 //
-// Bit-exactness: `staged_a_value` / `staged_b_value` are the single source
-// of truth for staged operand values — the generic executor's SharedTiles
-// staging calls the same functions — so a packed panel block is byte-
-// identical to the tile the generic path would have staged, and the FMA
-// chains downstream see identical inputs.
+// Bit-exactness: `staged_a_value` / `staged_b_value` are the specification
+// of staged operand values — the generic executor's SharedTiles staging
+// calls them, and so does the packing pass for fp16 operands and gathered
+// B. fp32 operands read from storage take bulk paths that produce the same
+// bytes: op N blocks copy each panel row as one contiguous run, op T
+// blocks walk the source contiguously and scatter into the block, and the
+// ragged remainder is written as zeros. Since fp32 staging is a plain copy,
+// a packed panel block is byte-identical to the tile the generic path
+// would have staged either way, and the FMA chains downstream see
+// identical inputs (microkernel_test pins this across every strategy, op,
+// precision and gather combination).
+//
+// Every element of every panel block, padding included, is written by
+// exactly one of those paths. The panel buffers rely on that: they are
+// allocated without value-initialization (`PanelBuffer`), so nothing is
+// zero-filled only to be overwritten.
 //
 // Packed buffers are transient per executor call, bounded by the pack-arena
 // budget (see `pack_arena_budget`): a call packs eligible GEMMs in batch
@@ -24,6 +35,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "core/tiling_strategy.hpp"
@@ -63,6 +76,31 @@ inline float staged_b_value(const GemmOperands& g, int gk, int gj) {
   return v;
 }
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// `resize(n)` on a vector of floats allocates without zero-filling.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using value_type = T;
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  // Copies and other constructions with arguments fall through to
+  // std::construct_at via allocator_traits.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// Panel storage. Freshly sized elements are indeterminate until
+/// `pack_gemm` writes them — and it writes every one, padding included.
+using PanelBuffer = std::vector<float, DefaultInitAllocator<float>>;
+
 /// Packed operand panels for one (GEMM, strategy) pair.
 ///
 /// Layout: A panel `ty` holds `nsteps` consecutive BY x BK blocks, block
@@ -75,8 +113,8 @@ struct PackedGemm {
   int nsteps = 0;    ///< K-steps: ceil(K / BK)
   int ty_count = 0;  ///< A (row) panels
   int tx_count = 0;  ///< B (column) panels
-  std::vector<float> a;
-  std::vector<float> b;
+  PanelBuffer a;
+  PanelBuffer b;
 
   bool valid() const { return nsteps > 0; }
   std::size_t bytes() const { return (a.size() + b.size()) * sizeof(float); }
@@ -94,9 +132,11 @@ struct PackedGemm {
 /// against the pack-arena budget before committing to a pack.
 std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d);
 
-/// Packs all A and B panels of `g` for `s`. Counts `exec.pack.panels` and
-/// `exec.pack.bytes`. Safe to call from inside a parallel_for worker (it
-/// only reads `g` and writes its own buffers).
+/// Packs all A and B panels of `g` for `s`: bulk copies for fp32 operands
+/// read from storage, `staged_a_value` / `staged_b_value` per element for
+/// fp16 and for gathered B; the bytes are the same either way. Counts
+/// `exec.pack.panels` and `exec.pack.bytes`. Safe to call from inside a
+/// parallel_for worker (it only reads `g` and writes its own buffers).
 PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g);
 
 /// Pack-arena budget in bytes for a single executor call (default 256 MiB,

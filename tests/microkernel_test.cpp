@@ -7,6 +7,10 @@
 // forces the generic unpacked path for the A/B comparisons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -111,34 +115,84 @@ TEST(MicrokernelDispatch, UnknownGeometryFallsBackToNull) {
   EXPECT_EQ(microkernel_for(s), nullptr);
 }
 
+// Leaves freed heap blocks of `a_floats` and `b_floats` NaNs behind, so the
+// panel buffers a following pack_gemm allocates (same sizes, same order)
+// likely start out NaN rather than as fresh zero pages: a padding element
+// the packing pass fails to write then fails the comparison instead of
+// passing by luck.
+void poison_heap(std::size_t a_floats, std::size_t b_floats) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto* a = new float[a_floats];
+  auto* b = new float[b_floats];
+  std::fill(a, a + a_floats, nan);
+  std::fill(b, b + b_floats, nan);
+  // Keeps the fills from being dropped as dead stores ahead of delete.
+  asm volatile("" : : "r"(a), "r"(b) : "memory");
+  delete[] b;
+  delete[] a;
+}
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 // The packed panel blocks must hold exactly the values the guarded staging
-// produces — including the zero padding past M/N/K edges and fp16 rounding.
+// produces — including the zero padding past M/N/K edges, fp16 rounding and
+// the gather — bit for bit, on both the bulk fp32 paths and the staged
+// per-element path.
 TEST(Packing, PanelsReproduceStagedValuesIncludingPadding) {
-  for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
-    const TilingStrategy& s = batched_strategy_by_id(3);  // medium/256
-    const GemmDims d = ragged_dims(s);
-    const GemmCase gc(d, Op::kN, Op::kT, prec, false, 77);
-    const PackedGemm pk = pack_gemm(s, gc.ops);
-    ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by);
-    ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx);
-    ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk);
-    for (int ty = 0; ty < pk.ty_count; ++ty) {
-      const float* panel = pk.a_panel(ty);
-      for (int step = 0; step < pk.nsteps; ++step)
-        for (int i = 0; i < s.by; ++i)
-          for (int p = 0; p < s.bk; ++p)
-            ASSERT_EQ(panel[(step * s.by + i) * s.bk + p],
-                      staged_a_value(gc.ops, ty * s.by + i, step * s.bk + p))
-                << "A panel " << ty << " step " << step;
-    }
-    for (int tx = 0; tx < pk.tx_count; ++tx) {
-      const float* panel = pk.b_panel(tx);
-      for (int step = 0; step < pk.nsteps; ++step)
-        for (int p = 0; p < s.bk; ++p)
-          for (int j = 0; j < s.bx; ++j)
-            ASSERT_EQ(panel[(step * s.bk + p) * s.bx + j],
-                      staged_b_value(gc.ops, step * s.bk + p, tx * s.bx + j))
-                << "B panel " << tx << " step " << step;
+  for (int id = 0; id < 12; ++id) {
+    const TilingStrategy& s = batched_strategy_by_id(id);
+    const GemmDims exact{2 * s.by, 2 * s.bx, 2 * s.bk};
+    for (const GemmDims& d : {ragged_dims(s), exact}) {
+      for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
+        for (Op op_a : {Op::kN, Op::kT}) {
+          for (Op op_b : {Op::kN, Op::kT}) {
+            for (bool gather : {false, true}) {
+              const GemmCase gc(d, op_a, op_b, prec, gather, 77 + id);
+              const std::string what =
+                  s.name() + " " + std::to_string(d.m) + "x" +
+                  std::to_string(d.n) + "x" + std::to_string(d.k) +
+                  (prec == Precision::kFp16 ? " fp16" : " fp32") +
+                  " op_a=" + to_string(op_a) + " op_b=" + to_string(op_b) +
+                  (gather ? " gather" : "");
+              const std::size_t steps = (d.k + s.bk - 1) / s.bk;
+              poison_heap((d.m + s.by - 1) / s.by * steps * s.by * s.bk,
+                          (d.n + s.bx - 1) / s.bx * steps * s.bk * s.bx);
+              const PackedGemm pk = pack_gemm(s, gc.ops);
+              ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by) << what;
+              ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx) << what;
+              ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk) << what;
+              for (int ty = 0; ty < pk.ty_count; ++ty) {
+                const float* panel = pk.a_panel(ty);
+                for (int step = 0; step < pk.nsteps; ++step)
+                  for (int i = 0; i < s.by; ++i)
+                    for (int p = 0; p < s.bk; ++p) {
+                      const float got = panel[(step * s.by + i) * s.bk + p];
+                      const float want = staged_a_value(
+                          gc.ops, ty * s.by + i, step * s.bk + p);
+                      if (bits(got) != bits(want))
+                        FAIL() << what << ": A panel " << ty << " step "
+                               << step << " (" << i << ", " << p << ") holds "
+                               << got << ", staged " << want;
+                    }
+              }
+              for (int tx = 0; tx < pk.tx_count; ++tx) {
+                const float* panel = pk.b_panel(tx);
+                for (int step = 0; step < pk.nsteps; ++step)
+                  for (int p = 0; p < s.bk; ++p)
+                    for (int j = 0; j < s.bx; ++j) {
+                      const float got = panel[(step * s.bk + p) * s.bx + j];
+                      const float want = staged_b_value(
+                          gc.ops, step * s.bk + p, tx * s.bx + j);
+                      if (bits(got) != bits(want))
+                        FAIL() << what << ": B panel " << tx << " step "
+                               << step << " (" << p << ", " << j << ") holds "
+                               << got << ", staged " << want;
+                    }
+              }
+            }
+          }
+        }
+      }
     }
   }
 }
