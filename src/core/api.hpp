@@ -69,9 +69,10 @@ struct PlannerConfig {
   Precision precision = Precision::kFp32;
   /// Split-K scheduling axis: when a batch's tiles cannot fill the machine,
   /// each tile's K loop may be partitioned into BK-aligned slices executed
-  /// as extra blocks with a deterministic carried-chain fix-up reduction
-  /// (bit-identical to the unsplit plan — see run_batched_plan). Candidate
-  /// split plans are sim-compared against the unsplit plan via time_plan.
+  /// as extra blocks; the host runs each split coordinate as one carried
+  /// chain (bit-identical to the unsplit plan — see run_batched_plan).
+  /// Candidate split plans are sim-compared against the unsplit plan via
+  /// time_plan.
   SplitKMode splitk = SplitKMode::kAuto;
   /// Upper bound on K slices per tile; candidates sweep powers of two
   /// (2, 4, ..., max_splitk).

@@ -1,8 +1,6 @@
 #include "kernels/functional.hpp"
 
 #include <algorithm>
-#include <array>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -157,13 +155,14 @@ void count_dispatch(const PackedDispatch& d, long long tiles) {
 // Bit-exactness with the unsplit path demands that every C element still
 // accumulate as ONE ascending (k0, p) chain, and float addition is not
 // associative, so zero-based per-slice partials cannot be recombined.
-// Instead the chain is *carried*: the k_begin == 0 slice accumulates from
-// zero into a row-major BY x BX workspace (the exact prefix value of the
-// unsplit chain — float store/reload is bit-preserving), and the fix-up
-// reduction walks the remaining slices in ascending k order, continuing
-// the same accumulator, before applying the standard alpha/beta epilogue.
-// The reduction tree is thus the unique order-preserving (left-spine)
-// tree; no atomics, one deterministic owner per C tile.
+// Instead the chain is *carried*: one task owns the whole coordinate. The
+// single-GEMM and vbatch split paths walk its slices in ascending k order
+// through one row-major BY x BX accumulator (the k_begin == 0 slice starts
+// from zero; float store/reload between slices is bit-preserving), then
+// apply the standard alpha/beta epilogue. run_batched_plan goes further and
+// runs the coordinate as one full-K tile in the block holding its seed
+// slice. Either way the reduction tree is the unique order-preserving
+// (left-spine) tree; no atomics, one deterministic owner per C tile.
 
 /// One K-slice of a tile's K loop, [k_lo, k_hi).
 struct KSlice {
@@ -334,9 +333,9 @@ void check_epilogue_beta(const GemmOperands& g, float beta, std::size_t i) {
 /// beta == 0 short-circuit, and fp16 rounding — the identical per-element
 /// expression every other executor path applies. When `g` carries a fused
 /// epilogue chain it is applied here, per element, before the (possibly
-/// permuted) store; this function is also the split-K fix-up reduction's
-/// final store, which is exactly what puts the epilogue strictly after the
-/// join at any thread count.
+/// permuted) store; this function is also the final store of a split
+/// coordinate's carried chain, which is exactly what puts the epilogue
+/// strictly after the last K slice at any thread count.
 void store_tile_rowmajor_rt(const TilingStrategy& s, const GemmOperands& g,
                             int ty, int tx, float alpha, float beta,
                             const float* acc) {
@@ -431,8 +430,8 @@ void store_tile_rowmajor_rt(const TilingStrategy& s, const GemmOperands& g,
 }
 
 /// Executes one C tile as a chain of K slices through a thread-local
-/// workspace: the degenerate single-owner form of the fix-up reduction
-/// used by the single-GEMM and vbatch split-K paths.
+/// workspace: one owner carries the chain through every slice. Used by the
+/// single-GEMM and vbatch split-K paths and by every fused-epilogue tile.
 void execute_tile_sliced(const TilingStrategy& s, const GemmOperands& g,
                          const PackedDispatch& d, int ty, int tx,
                          std::span<const KSlice> slices, float alpha,
@@ -967,68 +966,33 @@ void run_batched_plan(const BatchPlan& plan,
     }
   }
 
-  // Split-K discovery: a tile whose K range does not cover its GEMM's full
-  // K extent belongs to a fix-up group keyed (gemm, ty, tx). Each group
-  // gets one row-major BY x BX accumulator in a shared workspace arena;
-  // groups are enumerated in key order and slices within a group in
-  // ascending k_begin order, so ownership and arithmetic order are
-  // deterministic regardless of thread count.
-  struct SplitGroup {
-    int gemm = 0, ty = 0, tx = 0;
-    std::size_t acc_offset = 0;
-    std::vector<int> fixup;  ///< non-first slices, ascending k_begin.
-  };
-  std::vector<int> group_of_tile;  // -1 = full-K tile, executes as always
-  std::vector<SplitGroup> groups;
-  std::vector<float> workspace;
+  // Split-K counters, derived from the plan alone: partial-K slices, and
+  // the coordinates they split (one k_begin == 0 seed each).
   if (plan.has_split()) {
-    group_of_tile.assign(static_cast<std::size_t>(plan.num_tiles()), -1);
-    std::map<std::array<int, 3>, std::vector<int>> keyed;
+    long long split_tiles = 0, split_coords = 0;
     for (int t = 0; t < plan.num_tiles(); ++t) {
-      const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
-      const auto [kb, ke] = plan.tile_k_range(t, batch[static_cast<std::size_t>(g)].dims.k);
-      if (kb == 0 && ke == batch[static_cast<std::size_t>(g)].dims.k)
-        continue;
-      keyed[{g, plan.y_coord[static_cast<std::size_t>(t)],
-             plan.x_coord[static_cast<std::size_t>(t)]}]
-          .push_back(t);
+      const auto g = static_cast<std::size_t>(
+          plan.gemm_of_tile[static_cast<std::size_t>(t)]);
+      const int K = batch[g].dims.k;
+      const auto [kb, ke] = plan.tile_k_range(t, K);
+      if (kb == 0 && ke == K) continue;
+      ++split_tiles;
+      if (kb == 0) ++split_coords;
     }
-    std::size_t arena = 0;
-    long long split_tiles = 0;
-    for (auto& [key, tiles] : keyed) {
-      std::sort(tiles.begin(), tiles.end(), [&](int a, int b) {
-        return plan.k_begin[static_cast<std::size_t>(a)] <
-               plan.k_begin[static_cast<std::size_t>(b)];
-      });
-      split_tiles += static_cast<long long>(tiles.size());
-      SplitGroup grp;
-      grp.gemm = key[0];
-      grp.ty = key[1];
-      grp.tx = key[2];
-      grp.acc_offset = arena;
-      const TilingStrategy& s = batched_strategy_by_id(
-          plan.strategy_of_tile[static_cast<std::size_t>(tiles.front())]);
-      arena += static_cast<std::size_t>(s.by) * s.bx;
-      for (int i = 0; i < static_cast<int>(tiles.size()); ++i) {
-        group_of_tile[static_cast<std::size_t>(tiles[static_cast<std::size_t>(i)])] =
-            static_cast<int>(groups.size());
-        if (i > 0) grp.fixup.push_back(tiles[static_cast<std::size_t>(i)]);
-      }
-      groups.push_back(std::move(grp));
-    }
-    workspace.resize(arena);
     CTB_TEL_COUNT("exec.splitk.tiles", split_tiles);
-    CTB_TEL_COUNT("exec.splitk.groups", groups.size());
+    CTB_TEL_COUNT("exec.splitk.groups", split_coords);
   }
 
   // Fig. 7: each block walks its tile range from the aux arrays. Blocks run
   // concurrently — validate_plan guarantees complete single coverage, so no
   // two blocks touch the same C tile — while each block's tile chain stays
   // serial, exactly like persistent thread blocks on the device. Per-block
-  // spans land in parallel_for-safe thread-local buffers. Split tiles with
-  // k_begin == 0 seed their group's workspace accumulator (one writer per
-  // group in this pass); later slices are deferred to the fix-up reduction
-  // below, past the parallel_for join.
+  // spans land in parallel_for-safe thread-local buffers. A split-K
+  // coordinate runs whole in the block holding its k_begin == 0 slice:
+  // validate_plan guarantees the coordinate's slices partition [0, K)
+  // exactly, so that block executes the full-K tile — the one ascending
+  // (k0, p) chain the unsplit plan runs — and the continuation slices are
+  // no-ops wherever they sit.
   parallel_for(plan.num_blocks(), [&](long long b) {
     CTB_TEL_SPAN("exec.block");
     const auto [begin, end] = plan.block_tiles(static_cast<int>(b));
@@ -1036,23 +1000,12 @@ void run_batched_plan(const BatchPlan& plan,
       const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
       CTB_CHECK_MSG(g >= 0 && g < static_cast<int>(batch.size()),
                     "plan references GEMM " << g << " beyond the batch");
+      if (plan.has_split() && plan.k_begin[static_cast<std::size_t>(t)] != 0)
+        continue;  // continuation slice: its seed block runs the chain
       const int sid = plan.strategy_of_tile[static_cast<std::size_t>(t)];
       const int ty = plan.y_coord[static_cast<std::size_t>(t)];
       const int tx = plan.x_coord[static_cast<std::size_t>(t)];
       const PackedDispatch& d = packs[static_cast<std::size_t>(g)];
-      if (!group_of_tile.empty() &&
-          group_of_tile[static_cast<std::size_t>(t)] >= 0) {
-        const int kb = plan.k_begin[static_cast<std::size_t>(t)];
-        if (kb != 0) continue;  // fix-up entry: reduced after the join
-        const SplitGroup& grp = groups[static_cast<std::size_t>(
-            group_of_tile[static_cast<std::size_t>(t)])];
-        accumulate_tile_range(batched_strategy_by_id(sid),
-                              batch[static_cast<std::size_t>(g)], d, ty, tx,
-                              kb, plan.k_end[static_cast<std::size_t>(t)],
-                              /*first=*/true,
-                              workspace.data() + grp.acc_offset);
-        continue;
-      }
       if (batch[static_cast<std::size_t>(g)].epilogue != 0) {
         // Fused tile: dispatched accumulation + the epilogue-aware store
         // (the microkernels' own store has no epilogue hook).
@@ -1071,32 +1024,6 @@ void run_batched_plan(const BatchPlan& plan,
       }
     }
   });
-
-  // Deterministic fix-up reduction: one owner per split group continues the
-  // carried chain through the remaining slices in ascending k order (the
-  // left-spine tree — the unique order preserving unsplit bit-identity) and
-  // applies the epilogue. The parallel_for join above makes every seeded
-  // accumulator visible; groups write disjoint C tiles, so no atomics.
-  if (!groups.empty()) {
-    CTB_TEL_SPAN("exec.splitk.reduce");
-    parallel_for(static_cast<long long>(groups.size()), [&](long long i) {
-      const SplitGroup& grp = groups[static_cast<std::size_t>(i)];
-      const auto gz = static_cast<std::size_t>(grp.gemm);
-      float* acc = workspace.data() + grp.acc_offset;
-      for (int t : grp.fixup) {
-        const TilingStrategy& s = batched_strategy_by_id(
-            plan.strategy_of_tile[static_cast<std::size_t>(t)]);
-        accumulate_tile_range(s, batch[gz], packs[gz], grp.ty, grp.tx,
-                              plan.k_begin[static_cast<std::size_t>(t)],
-                              plan.k_end[static_cast<std::size_t>(t)],
-                              /*first=*/false, acc);
-      }
-      const TilingStrategy& s =
-          batched_strategy_by_id(strategy_of_gemm[gz]);
-      store_tile_rowmajor_rt(s, batch[gz], grp.ty, grp.tx, alpha, beta,
-                             acc);
-    });
-  }
 }
 
 GemmOperands operands(const Matrixf& a, const Matrixf& b, Matrixf& c) {

@@ -70,7 +70,7 @@ struct GemmOperands {
   /// shape by value and the input tensor by const pointer.
   std::function<float(int k, int j)> b_gather;
   /// Packed fused-epilogue chain (epilogue.hpp), applied inside the tile
-  /// store — after the split-K fix-up join — instead of a separate
+  /// store — after a split tile's last K slice — instead of a separate
   /// elementwise pass over C. 0 = none (byte-identical to the plain store).
   /// For plan-driven execution the plan's epilogue_of_gemm entry must match
   /// this spec; audit_plan_operands enforces the agreement.
@@ -92,11 +92,10 @@ void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
                      float alpha, float beta);
 
 /// Split-K single GEMM: each C tile's K loop is partitioned into up to
-/// `splitk` BK-aligned slices executed as a carried chain through a
-/// workspace accumulator (the deterministic fix-up reduction — see
-/// run_batched_plan), so C is bitwise identical to the unsplit call at any
-/// thread count and SIMD ISA. `splitk <= 1` (or a single-step K loop)
-/// degrades to the unsplit path.
+/// `splitk` BK-aligned slices executed by one task as a carried chain
+/// through a workspace accumulator, so C is bitwise identical to the
+/// unsplit call at any thread count and SIMD ISA. `splitk <= 1` (or a
+/// single-step K loop) degrades to the unsplit path.
 void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
                      float alpha, float beta, int splitk);
 
@@ -105,8 +104,8 @@ void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
 void run_vbatch(const TilingStrategy& strategy,
                 std::span<const GemmOperands> batch, float alpha, float beta);
 
-/// Split-K vbatch: per-GEMM K slicing with the same carried-chain fix-up
-/// reduction and bit-exactness guarantee as the split-K single-GEMM path.
+/// Split-K vbatch: per-GEMM K slicing with the same carried chain and
+/// bit-exactness guarantee as the split-K single-GEMM path.
 void run_vbatch(const TilingStrategy& strategy,
                 std::span<const GemmOperands> batch, float alpha, float beta,
                 int splitk);

@@ -43,8 +43,8 @@ enum class SimdIsa { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 ///
 /// Each table entry also carries an accumulate-in variant with the same
 /// signature (`fn_acc`): instead of starting from zero it loads the vector
-/// accumulators from `acc` and continues the chain — the split-K fix-up
-/// reduction continues a tile's ascending (k0, p) chain across K slices
+/// accumulators from `acc` and continues the chain — the split-K sliced
+/// path continues a tile's ascending (k0, p) chain across K slices
 /// through it. Pass `a_panel`/`b_panel` pre-offset to the slice's first
 /// step and `nsteps` = the slice's step count.
 using SimdTileLoopFn = void (*)(const float* a_panel, const float* b_panel,

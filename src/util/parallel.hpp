@@ -8,6 +8,10 @@
 //     Iterations may run concurrently and in any order, so f must only write
 //     state disjoint per iteration (the executors satisfy this because a
 //     validated plan covers each C tile exactly once).
+//   - Workers claim iterations dynamically, one at a time, in ascending
+//     index order: an uneven iteration (a heavy plan block) or a descheduled
+//     worker delays only the iteration it holds, never a fixed share of the
+//     loop. Which worker runs which iteration is unspecified.
 //   - Exceptions thrown by f are captured and the first one is rethrown on
 //     the calling thread after the loop drains, preserving the serial
 //     failure contract (CTB_CHECK throws propagate out of parallel regions).
@@ -38,6 +42,7 @@
 #endif
 
 #ifdef CTB_TSAN_BUILD
+#include <atomic>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -80,14 +85,15 @@ void parallel_for(long long n, F&& f) {
   if (workers > 1) {
     std::exception_ptr error;
     std::mutex error_mu;
+    // Shared claim counter: the same one-at-a-time dynamic claiming as the
+    // OpenMP schedule, so the race legs exercise the production schedule.
+    std::atomic<long long> next{0};
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        // Static chunking, same as the OpenMP schedule.
-        const long long begin = n * w / workers;
-        const long long end = n * (w + 1) / workers;
-        for (long long i = begin; i < end; ++i) {
+      pool.emplace_back([&] {
+        for (long long i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
           try {
             f(i);
           } catch (...) {
@@ -107,7 +113,7 @@ void parallel_for(long long n, F&& f) {
       n < max_threads ? n : static_cast<long long>(max_threads));
   if (workers > 1) {
     std::exception_ptr error;
-#pragma omp parallel for num_threads(workers) schedule(static)
+#pragma omp parallel for num_threads(workers) schedule(dynamic, 1)
     for (long long i = 0; i < n; ++i) {
       try {
         f(i);

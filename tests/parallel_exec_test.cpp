@@ -5,6 +5,10 @@
 // the property DESIGN.md §6 documents and this test enforces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/api.hpp"
@@ -301,6 +305,51 @@ TEST(ParallelFor, PropagatesExceptions) {
                      if (i == 37) throw CheckError("boom");
                    }),
       CheckError);
+}
+
+// A straggler delays only the iteration it holds. Iteration 0 stalls until
+// every other iteration has run (each spins kWork), bounded by kMaxStall.
+// With dynamic claiming the second worker drains the rest of the loop
+// meanwhile, so the stall ends after about (kIters - 1) * kWork and its
+// worker ran exactly one iteration. A static schedule leaves the stalled
+// worker owning half the loop: the stall can only end at kMaxStall, after
+// which that worker still owes kIters / 2 iterations. Waiting on progress
+// instead of sleeping a fixed time keeps the check exact on a loaded host.
+TEST(ParallelFor, StalledWorkerHoldsOnlyItsIteration) {
+#if !defined(CTB_HAVE_OPENMP) && !defined(CTB_TSAN_BUILD)
+  GTEST_SKIP() << "serial build: parallel_for runs no workers";
+#else
+  using Clock = std::chrono::steady_clock;
+  constexpr long long kIters = 401;
+  constexpr auto kWork = std::chrono::microseconds(20);
+  constexpr auto kMaxStall = std::chrono::seconds(10);
+  ScopedParallelThreads guard(2);
+  std::vector<std::thread::id> ran_on(kIters);
+  std::atomic<long long> finished{0};
+  bool released = false;
+  const auto start = Clock::now();
+  parallel_for(kIters, [&](long long i) {
+    ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    if (i == 0) {
+      const auto deadline = Clock::now() + kMaxStall;
+      while (finished.load() < kIters - 1 && Clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      released = finished.load() == kIters - 1;
+      return;
+    }
+    const auto until = Clock::now() + kWork;
+    while (Clock::now() < until) {
+    }
+    finished.fetch_add(1);
+  });
+  const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           Clock::now() - start)
+                           .count();
+  EXPECT_TRUE(released) << "iteration 0 waited out the " << kMaxStall.count()
+                        << " s bound; region took " << wall_ms << " ms";
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), ran_on[0]), 1)
+      << "the stalled worker claimed more than its own iteration";
+#endif
 }
 
 TEST(ParallelFor, ZeroAndNegativeCountsAreNoops) {

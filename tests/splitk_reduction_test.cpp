@@ -1,15 +1,17 @@
-// Determinism of the split-K fix-up reduction (DESIGN.md §11).
+// Determinism of split-K execution (DESIGN.md §11).
 //
-// Split-K partitions a tile's K loop into BK-aligned slices executed as
-// separate blocks; the fix-up pass then continues each tile's single
-// ascending (k0, p) accumulation chain through the slices in K order (a
-// carried chain — the left-spine of the reduction tree), so the result is
-// BITWISE identical to the unsplit execution. This test pins that contract
-// where it can break: under parallel_for at 1/2/4/8 threads, across all
-// three executors, fp32 and fp16, N/T transpose variants, the gather
+// Split-K partitions a tile's K loop into BK-aligned slices planned as
+// separate blocks; the host executors run each coordinate's single
+// ascending (k0, p) accumulation chain through the slices in K order in one
+// task (a carried chain — the left-spine of the reduction tree), so the
+// result is BITWISE identical to the unsplit execution. This test pins
+// that contract where it can break: under parallel_for at 1/2/4/8 threads,
+// across all three executors, hand-built plans whose slices sit out of
+// order, fp32 and fp16, N/T transpose variants, the gather
 // (implicit-GEMM) path, and every SIMD ISA reachable on the host.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -274,6 +276,87 @@ TEST(SplitKBatchedPlan, HandBuiltPlanBitExact) {
   }
 }
 
+// run_batched_plan runs a split coordinate whole in the block that holds
+// its k_begin == 0 (seed) slice; continuation slices are no-ops wherever
+// they sit. This plan puts every continuation slice in an EARLIER block
+// than its seed: the leading blocks hold continuation slices only, and one
+// block mixes continuations with a seed placed after them. Running a slice
+// where it sits, or skipping the wrong one, would diverge from the unsplit
+// plan.
+TEST(SplitKBatchedPlan, SeedAfterContinuationsBitExact) {
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  const std::vector<GemmDims> dims = {{70, 45, 77}, {64, 64, 160}, {33, 33, 24}};
+  const std::vector<const TilingStrategy*> strategies(dims.size(), &s);
+  std::vector<Tile> seeds, continuations;
+  for (const Tile& t : split_tiles_k(enumerate_tiles(dims, strategies), 4))
+    (t.k_begin == 0 ? seeds : continuations).push_back(t);
+  ASSERT_FALSE(continuations.empty());
+
+  // Continuations in descending K order, three per block; the last of those
+  // blocks also takes the first seed, every other seed follows alone.
+  std::reverse(continuations.begin(), continuations.end());
+  std::vector<std::vector<Tile>> blocks;
+  for (std::size_t i = 0; i < continuations.size(); i += 3)
+    blocks.emplace_back(
+        continuations.begin() + static_cast<std::ptrdiff_t>(i),
+        continuations.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(i + 3, continuations.size())));
+  ASSERT_GT(blocks.size(), 1u);
+  blocks.back().push_back(seeds.front());
+  for (std::size_t i = 1; i < seeds.size(); ++i) blocks.push_back({seeds[i]});
+
+  BatchPlan split = build_plan(blocks, s.threads);
+  BatchPlan unsplit = uniform_plan(dims, s, 1);
+  ASSERT_TRUE(split.has_split());
+  validate_plan(split, dims);
+  for (int t = split.tile_offsets[0]; t < split.tile_offsets[1]; ++t)
+    ASSERT_NE(split.k_begin[static_cast<std::size_t>(t)], 0)
+        << "block 0 must hold continuation slices only";
+
+  std::vector<std::vector<float>> bias(dims.size());
+  Rng rng(5);
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    bias[i].resize(static_cast<std::size_t>(dims[i].m));
+    for (float& v : bias[i])
+      v = static_cast<float>(rng.uniform_int(-64, 64)) / 16.0f;
+  }
+  const int bias_relu =
+      epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
+  for (const int epilogue : {0, bias_relu}) {
+    split.epilogue_of_gemm.assign(epilogue != 0 ? dims.size() : 0, epilogue);
+    unsplit.epilogue_of_gemm = split.epilogue_of_gemm;
+    for (const Precision precision : {Precision::kFp32, Precision::kFp16}) {
+      const std::string what =
+          std::string(precision == Precision::kFp16 ? "fp16" : "fp32") +
+          (epilogue != 0 ? " bias+relu" : " plain");
+      auto make = [&] {
+        BatchCase bc = make_batch(dims, 13, precision);
+        for (std::size_t i = 0; epilogue != 0 && i < dims.size(); ++i) {
+          bc.ops[i].epilogue = epilogue;
+          bc.ops[i].epilogue_args.bias = bias[i].data();
+          bc.ops[i].epilogue_args.bias_len = dims[i].m;
+        }
+        return bc;
+      };
+      auto reference = make();
+      {
+        ScopedParallelThreads guard(1);
+        run_batched_plan(unsplit, reference.ops, 1.5f, 0.5f);
+      }
+      for (int threads : kThreadCounts) {
+        auto split_case = make();
+        ScopedParallelThreads guard(threads);
+        run_batched_plan(split, split_case.ops, 1.5f, 0.5f);
+        for (std::size_t i = 0; i < dims.size(); ++i)
+          expect_bitwise_equal(reference.c[i], split_case.c[i],
+                               "seed-last " + what + " gemm " +
+                                   std::to_string(i) + " threads=" +
+                                   std::to_string(threads));
+      }
+    }
+  }
+}
+
 // The planner's split-K axis end to end: kForce produces a split plan for a
 // TLP-scarce tall-skinny batch with strictly more blocks, and executing it
 // matches the kOff plan bitwise at every thread count.
@@ -368,7 +451,7 @@ TEST(SplitKSimd, IsaSweepBitExact) {
 
 // Cross-ISA: the split result under the host's best ISA equals the scalar
 // unsplit result — the strongest form of the contract, composing the SIMD
-// determinism guarantee (DESIGN.md §6) with the fix-up reduction's.
+// determinism guarantee (DESIGN.md §6) with the carried chain's.
 TEST(SplitKSimd, BestIsaSplitMatchesScalarUnsplit) {
   const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
   const std::vector<GemmDims> dims = {{130, 70, 200}};
