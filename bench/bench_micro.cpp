@@ -144,13 +144,16 @@ BENCHMARK(BM_ExecuteTileSpecialized)->DenseRange(0, 11);
 
 // The B side of the tile-level SIMD A/B: same grid, same packed panels, but
 // dispatched through tile_kernel_for — the explicit-SIMD microkernel for the
-// active ISA when one covers the geometry, the scalar template otherwise.
-// BM_ExecuteTileSpecialized above deliberately stays pinned to
-// microkernel_for (the scalar packed path of the previous perf PR), so
+// ISA in the second argument (a SimdIsa value, set in process through
+// ScopedSimdIsa) when one covers the geometry, the scalar template
+// otherwise. Every ISA the host can run is registered, so AVX2 is measured
+// on AVX-512 hosts without CTB_SIMD_ISA. BM_ExecuteTileSpecialized above
+// deliberately stays pinned to microkernel_for (the scalar packed path), so
 // Specialized/Simd medians give the tile-level SIMD speedup directly. The
 // label carries the ISA the kernel actually ran with.
 void BM_ExecuteTileSimd(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
+  const ScopedSimdIsa isa(static_cast<SimdIsa>(state.range(1)));
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
   const TileKernel kernel = tile_kernel_for(s);
@@ -169,7 +172,20 @@ void BM_ExecuteTileSimd(benchmark::State& state) {
   state.SetLabel(s.name() + std::string(" isa=") +
                  simd_isa_name(kernel.isa));
 }
-BENCHMARK(BM_ExecuteTileSimd)->DenseRange(0, 11);
+
+// Args({strategy id, isa}) for scalar plus every vector ISA the host can
+// execute (one with a non-empty kernel table up to the detected level).
+void TileSimdArgs(benchmark::internal::Benchmark* b) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kNeon, SimdIsa::kAvx2,
+                      SimdIsa::kAvx512}) {
+    if (isa != SimdIsa::kScalar &&
+        (static_cast<int>(isa) > static_cast<int>(detected_simd_isa()) ||
+         simd_tile_loop(isa, 64, 64, 8) == nullptr))
+      continue;
+    for (int id = 0; id < 12; ++id) b->Args({id, static_cast<int>(isa)});
+  }
+}
+BENCHMARK(BM_ExecuteTileSimd)->Apply(TileSimdArgs);
 
 // Whole-GEMM repeated-plan A/B of the cross-call packed-panel cache:
 // Arg(0) reruns run_single_gemm with the cache disabled (panels repacked

@@ -9,10 +9,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
@@ -562,6 +569,277 @@ TEST(SimdDispatch, BatchedExecutorsBitExactUnderVectorIsa) {
   for (std::size_t i = 0; i < packed_plan.gemms.size(); ++i)
     expect_bitwise_equal(packed_plan.gemms[i].c, generic_plan.gemms[i].c,
                          "simd-plan/gemm" + std::to_string(i));
+}
+
+int simd_lanes(SimdIsa isa) {
+  switch (isa) {
+    case SimdIsa::kNeon:
+      return 4;
+    case SimdIsa::kAvx2:
+      return 8;
+    case SimdIsa::kAvx512:
+      return 16;
+    case SimdIsa::kScalar:
+      break;
+  }
+  return 1;
+}
+
+// The scalar fused chain (functional.cpp's store_tile_rowmajor_rt fp32
+// branch + apply_epilogue_value) for one row, written out independently.
+void scalar_epilogue_row(const EpilogueRowArgs& r) {
+  for (int j = 0; j < r.n; ++j) {
+    const float prior = r.beta == 0.0f ? 0.0f : r.beta * r.c[j];
+    float v = r.alpha * r.acc[j] + prior;
+    for (int o = 0; o < r.nops; ++o) {
+      switch (static_cast<EpilogueOp>(r.ops[o])) {
+        case EpilogueOp::kBias:
+          v += r.bias;
+          break;
+        case EpilogueOp::kRelu:
+          v = v > 0.0f ? v : 0.0f;
+          break;
+        case EpilogueOp::kResidual:
+          v += r.residual[j];
+          break;
+        default:
+          break;
+      }
+    }
+    r.c[j] = v;
+  }
+}
+
+// Signed zeros, negatives and positives in a fixed rotation, so every tail
+// width sees each kind in its vector body and in its masked lanes.
+std::vector<float> signed_row(int n, int salt) {
+  static constexpr float kPool[] = {-0.0f, -1.75f, 0.0f,   2.5f,
+                                    -3.0f, 0.375f, -0.0f,  -0.125f,
+                                    1.0f,  -2.25f, 4.0f,   -0.5f};
+  constexpr int kPoolSize = static_cast<int>(std::size(kPool));
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j)
+    v[static_cast<std::size_t>(j)] = kPool[(j * 5 + salt) % kPoolSize];
+  return v;
+}
+
+// The fused-epilogue row kernel, called directly, against the scalar chain:
+// every runnable vector ISA x every row width 1..3*lanes+1 (each full-chunk
+// count with every masked tail width) x every op chain of up to three ops
+// (value ops plus an ignored permutation id) x beta 0/nonzero x two alphas.
+// Bitwise, and the masked store must leave the columns past n untouched.
+TEST(SimdDispatch, EpilogueRowBitExactVsScalarChainEveryTailWidth) {
+  constexpr int kOpIds[] = {static_cast<int>(EpilogueOp::kBias),
+                            static_cast<int>(EpilogueOp::kRelu),
+                            static_cast<int>(EpilogueOp::kResidual),
+                            static_cast<int>(EpilogueOp::kRowPerm)};
+  std::vector<std::vector<int>> chains{{}};
+  for (std::size_t first = 0; first < chains.size(); ++first) {
+    if (chains[first].size() == 3) continue;
+    for (int op : kOpIds) {
+      std::vector<int> next = chains[first];
+      next.push_back(op);
+      chains.push_back(next);
+    }
+  }
+  ASSERT_EQ(chains.size(), 1u + 4u + 16u + 64u);
+
+  constexpr int kGuard = 16;
+  const float kSentinel = std::bit_cast<float>(0x7fc0dead);
+  int rows_checked = 0;
+  for (SimdIsa isa : runnable_isas()) {
+    if (isa == SimdIsa::kScalar) continue;
+    const SimdEpilogueRowFn rowfn = simd_epilogue_row(isa);
+    ASSERT_NE(rowfn, nullptr) << simd_isa_name(isa);
+    const int lanes = simd_lanes(isa);
+    for (int n = 1; n <= 3 * lanes + 1; ++n) {
+      // acc and residual are exactly n long, so a sanitizer build catches
+      // any read past the row end.
+      const std::vector<float> acc = signed_row(n, 0);
+      const std::vector<float> residual = signed_row(n, 7);
+      std::vector<float> c0 = signed_row(n, 3);
+      c0.insert(c0.end(), kGuard, kSentinel);
+      for (const std::vector<int>& chain : chains) {
+        for (float beta : {0.0f, 0.75f}) {
+          for (float alpha : {1.0f, -1.5f}) {
+            std::vector<float> c_vec = c0, c_ref = c0;
+            EpilogueRowArgs r;
+            r.acc = acc.data();
+            r.residual = residual.data();
+            r.n = n;
+            r.alpha = alpha;
+            r.beta = beta;
+            r.bias = -0.25f;
+            r.nops = static_cast<int>(chain.size());
+            std::copy(chain.begin(), chain.end(), r.ops);
+            r.c = c_vec.data();
+            rowfn(r);
+            r.c = c_ref.data();
+            scalar_epilogue_row(r);
+            for (std::size_t j = 0; j < c_ref.size(); ++j)
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(c_vec[j]),
+                        std::bit_cast<std::uint32_t>(c_ref[j]))
+                  << simd_isa_name(isa) << " n=" << n << " col=" << j
+                  << " nops=" << r.nops << " beta=" << beta
+                  << " alpha=" << alpha;
+            ++rows_checked;
+          }
+        }
+      }
+    }
+  }
+  if (rows_checked == 0) GTEST_SKIP() << "host has no vector ISA";
+}
+
+// ------------------------------------------- mul+add ceiling guard ----
+// The tile loops are only worth their dispatch if they run near the rate
+// the determinism contract allows: separate, dependent vector mul+add
+// chains of the same width (perfbench/probe.cpp measures the same ceiling
+// for the repo benchmark). This guard times the 64x64 loop over hot K=256
+// panels against an in-process chain probe, interleaved so frequency and
+// host load hit both alike, and fails when the loop falls below
+// kMinCeilingShare of the probe — the signature of a helper that stopped
+// lowering to one broadcast / one vector load per use.
+
+constexpr double kMinCeilingShare = 0.45;
+constexpr int kCeilingRounds = 4;
+constexpr long kProbeIters = 1L << 17;
+volatile float g_probe_sink;
+
+#if defined(__x86_64__)
+// 16 chains cover the mul+add latency on 32-register AVX-512; AVX2 keeps
+// 12 of its 16 registers for chains, leaving room for the constants.
+__attribute__((target("avx512f"))) double probe_flops_avx512() {
+  constexpr int kChains = 16;
+  __m512 acc[kChains];
+  for (int c = 0; c < kChains; ++c) acc[c] = _mm512_set1_ps(0.5f + c);
+  const __m512 m = _mm512_set1_ps(0.999999f), a = _mm512_set1_ps(1e-7f);
+  for (long i = 0; i < kProbeIters; ++i)
+    for (int c = 0; c < kChains; ++c)
+      acc[c] = _mm512_add_ps(_mm512_mul_ps(acc[c], m), a);
+  __m512 s = acc[0];
+  for (int c = 1; c < kChains; ++c) s = _mm512_add_ps(s, acc[c]);
+  float lanes[16];
+  _mm512_storeu_ps(lanes, s);
+  g_probe_sink = lanes[0];
+  return 2.0 * 16 * kChains * kProbeIters;
+}
+
+__attribute__((target("avx2"))) double probe_flops_avx2() {
+  constexpr int kChains = 12;
+  __m256 acc[kChains];
+  for (int c = 0; c < kChains; ++c) acc[c] = _mm256_set1_ps(0.5f + c);
+  const __m256 m = _mm256_set1_ps(0.999999f), a = _mm256_set1_ps(1e-7f);
+  for (long i = 0; i < kProbeIters; ++i)
+    for (int c = 0; c < kChains; ++c)
+      acc[c] = _mm256_add_ps(_mm256_mul_ps(acc[c], m), a);
+  __m256 s = acc[0];
+  for (int c = 1; c < kChains; ++c) s = _mm256_add_ps(s, acc[c]);
+  float lanes[8];
+  _mm256_storeu_ps(lanes, s);
+  g_probe_sink = lanes[0];
+  return 2.0 * 8 * kChains * kProbeIters;
+}
+#endif
+
+#if defined(__aarch64__)
+double probe_flops_neon() {
+  constexpr int kChains = 16;
+  typedef float V4 __attribute__((vector_size(16)));
+  V4 acc[kChains];
+  for (int c = 0; c < kChains; ++c) acc[c] = V4{} + (0.5f + c);
+  for (long i = 0; i < kProbeIters; ++i)
+    for (int c = 0; c < kChains; ++c) acc[c] = acc[c] * 0.999999f + 1e-7f;
+  V4 s = acc[0];
+  for (int c = 1; c < kChains; ++c) s = s + acc[c];
+  g_probe_sink = s[0];
+  return 2.0 * 4 * kChains * kProbeIters;
+}
+#endif
+
+// One probe run for `isa`: its FLOP count, or 0 when there is no probe.
+double run_muladd_probe(SimdIsa isa) {
+  switch (isa) {
+#if defined(__x86_64__)
+    case SimdIsa::kAvx512:
+      return probe_flops_avx512();
+    case SimdIsa::kAvx2:
+      return probe_flops_avx2();
+#endif
+#if defined(__aarch64__)
+    case SimdIsa::kNeon:
+      return probe_flops_neon();
+#endif
+    default:
+      return 0.0;
+  }
+}
+
+template <typename F>
+double flops_per_second(F&& run) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const double flops = run();
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  return dt.count() > 0 ? flops / dt.count() : 0.0;
+}
+
+TEST(SimdDispatch, TileLoopRunsNearMulAddCeiling) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__OPTIMIZE__)
+  GTEST_SKIP() << "throughput guard needs an optimized, uninstrumented build";
+#else
+  constexpr int kBy = 64, kBx = 64, kBk = 8, kK = 256;
+  constexpr int kSteps = kK / kBk;
+  constexpr int kCallsPerRun = 40;
+  Rng rng(77);
+  Matrixf a_panel(static_cast<std::size_t>(kSteps) * kBy, kBk);
+  Matrixf b_panel(static_cast<std::size_t>(kSteps) * kBk, kBx);
+  fill_random(a_panel, rng);
+  fill_random(b_panel, rng);
+  std::vector<float> acc(static_cast<std::size_t>(kBy) * kBx);
+
+  int isas_checked = 0;
+  for (SimdIsa isa : runnable_isas()) {
+    if (isa == SimdIsa::kScalar || run_muladd_probe(isa) == 0.0) continue;
+    ScopedSimdIsa guard(isa);
+    const SimdTileLoopFn loop =
+        simd_tile_loop(active_simd_isa(), kBy, kBx, kBk);
+    ASSERT_NE(loop, nullptr) << simd_isa_name(isa);
+    const auto run_tiles = [&] {
+      for (int call = 0; call < kCallsPerRun; ++call)
+        loop(a_panel.data(), b_panel.data(), kSteps, acc.data());
+      g_probe_sink = acc[static_cast<std::size_t>(kBx) + 1];
+      return 2.0 * kBy * kBx * kK * kCallsPerRun;
+    };
+    run_tiles();  // warm: panels into cache, vector unit powered up
+    // A round is best-of-7 interleaved pairs. A concurrent process on the
+    // sibling hyperthread can slow the cache-touching tile loop more than
+    // the register-only probe for a whole round, so a low round is
+    // re-measured after a pause; a mis-lowered helper stays far below the
+    // bar in every round.
+    double best_tiles = 0.0, best_probe = 0.0, share = 0.0;
+    for (int round = 0; round < kCeilingRounds && share < kMinCeilingShare;
+         ++round) {
+      if (round > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      best_tiles = best_probe = 0.0;
+      for (int rep = 0; rep < 7; ++rep) {
+        best_probe = std::max(best_probe, flops_per_second([&] {
+                                return run_muladd_probe(isa);
+                              }));
+        best_tiles = std::max(best_tiles, flops_per_second(run_tiles));
+      }
+      ASSERT_GT(best_probe, 0.0);
+      share = best_tiles / best_probe;
+    }
+    EXPECT_GE(share, kMinCeilingShare)
+        << simd_isa_name(isa) << " 64x64 tile loop at " << best_tiles / 1e9
+        << " GFLOP/s vs mul+add ceiling " << best_probe / 1e9 << " GFLOP/s";
+    ++isas_checked;
+  }
+  if (isas_checked == 0) GTEST_SKIP() << "no vector ISA with a ceiling probe";
+#endif
 }
 
 #ifdef CTB_TELEMETRY_ENABLED
