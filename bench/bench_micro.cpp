@@ -12,7 +12,6 @@
 #include "core/api.hpp"
 #include "core/rf_policy.hpp"
 #include "dnn/im2col.hpp"
-#include "kernels/microkernel.hpp"
 #include "kernels/pack_cache.hpp"
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
@@ -85,13 +84,13 @@ void BM_FunctionalTileGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalTileGemm)->Arg(1)->Arg(5)->Arg(11);
 
-// ----------------------------------- microkernel specialization A/B ------
-// Paired same-process A/B of the generic staged tile executor vs the
-// specialized packed microkernel, per Table-2 strategy id (DenseRange 0-11),
-// over the full tile grid of a Fig. 8-style M=N=K=256 GEMM. Both variants
-// run serially over the identical grid so the ratio generic/specialized is
-// the tile-level speedup; on the 1-core container expect +/-50% run-to-run
-// noise, so compare medians of repeated runs.
+// ------------------------------------------------- tile-path A/B ------
+// Paired same-process A/B of the generic staged tile path vs the packed
+// tile path, per Table-2 strategy id (DenseRange 0-11), over the full tile
+// grid of a Fig. 8-style M=N=K=256 GEMM. Both variants run serially over the
+// identical grid so the ratio generic/packed is the tile-level speedup; on
+// a shared host expect +/-50% run-to-run noise, so compare medians of
+// repeated runs.
 struct MicroAbFixture {
   Matrixf a, b, c;
   GemmOperands g;
@@ -123,54 +122,33 @@ void BM_ExecuteTileGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteTileGeneric)->DenseRange(0, 11);
 
-void BM_ExecuteTileSpecialized(benchmark::State& state) {
-  const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
-  const GemmDims d{256, 256, 256};
-  MicroAbFixture f(d);
-  // Dispatch lookup and panel packing happen once per (GEMM, strategy) in
-  // the executors; keep them outside the timed loop to isolate the kernel.
-  const MicrokernelFn fn = microkernel_for(s);
-  const PackedGemm pk = pack_gemm(s, f.g);
-  for (auto _ : state) {
-    for (int ty = 0; ty < pk.ty_count; ++ty)
-      for (int tx = 0; tx < pk.tx_count; ++tx)
-        fn(f.g, pk, ty, tx, 1.0f, 0.0f);
-    benchmark::DoNotOptimize(f.c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * d.flops());
-  state.SetLabel(s.name());
-}
-BENCHMARK(BM_ExecuteTileSpecialized)->DenseRange(0, 11);
-
-// The B side of the tile-level SIMD A/B: same grid, same packed panels, but
-// dispatched through tile_kernel_for — the explicit-SIMD microkernel for the
-// ISA in the second argument (a SimdIsa value, set in process through
-// ScopedSimdIsa) when one covers the geometry, the scalar template
-// otherwise. Every ISA the host can run is registered, so AVX2 is measured
-// on AVX-512 hosts without CTB_SIMD_ISA. BM_ExecuteTileSpecialized above
-// deliberately stays pinned to microkernel_for (the scalar packed path), so
-// Specialized/Simd medians give the tile-level SIMD speedup directly. The
-// label carries the ISA the kernel actually ran with.
+// The packed side: same grid, panels packed once outside the timed loop
+// (the executors pack once per GEMM per call), every tile through
+// execute_packed_tile — the executors' own tile body, accumulate plus the
+// one store. The second argument is the ISA (a SimdIsa value, set in
+// process through ScopedSimdIsa): a vector ISA runs its SIMD tile loop and
+// store row, kScalar the runtime-bound scalar packed loop and scalar store.
+// Every ISA the host can run is registered, so AVX2 is measured on AVX-512
+// hosts without CTB_SIMD_ISA. The label carries the ISA the loop actually
+// ran with.
 void BM_ExecuteTileSimd(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
   const ScopedSimdIsa isa(static_cast<SimdIsa>(state.range(1)));
   const GemmDims d{256, 256, 256};
   MicroAbFixture f(d);
-  const TileKernel kernel = tile_kernel_for(s);
-  if (!kernel) {
-    state.SkipWithError("no packed kernel for this strategy");
-    return;
-  }
+  const SimdTileLoopFn loop =
+      simd_tile_loop(active_simd_isa(), s.by, s.bx, s.bk);
   const PackedGemm pk = pack_gemm(s, f.g);
   for (auto _ : state) {
     for (int ty = 0; ty < pk.ty_count; ++ty)
       for (int tx = 0; tx < pk.tx_count; ++tx)
-        kernel.fn(f.g, pk, ty, tx, 1.0f, 0.0f);
+        execute_packed_tile(s, f.g, pk, loop, ty, tx, 1.0f, 0.0f);
     benchmark::DoNotOptimize(f.c.data());
   }
   state.SetItemsProcessed(state.iterations() * d.flops());
   state.SetLabel(s.name() + std::string(" isa=") +
-                 simd_isa_name(kernel.isa));
+                 simd_isa_name(loop != nullptr ? active_simd_isa()
+                                               : SimdIsa::kScalar));
 }
 
 // Args({strategy id, isa}) for scalar plus every vector ISA the host can

@@ -69,7 +69,7 @@ struct PlannerConfig {
   Precision precision = Precision::kFp32;
   /// Split-K scheduling axis: when a batch's tiles cannot fill the machine,
   /// each tile's K loop may be partitioned into BK-aligned slices executed
-  /// as extra blocks; the host runs each split coordinate as one carried
+  /// as extra blocks; the host runs each split coordinate as one full-K
   /// chain (bit-identical to the unsplit plan — see run_batched_plan).
   /// Candidate split plans are sim-compared against the unsplit plan via
   /// time_plan.

@@ -12,13 +12,16 @@
 // All results are bit-exact across executors for a given strategy because
 // every executor accumulates in the same (k0, p) order.
 //
-// Dispatch: when a strategy has a compile-time-specialized microkernel
-// (microkernel.hpp — all Table-1 and Table-2 geometries do) and the GEMM's
-// packed-panel footprint fits the pack arena budget (packing.hpp), the
-// executors pack A/B panels once per (GEMM, strategy) and run every tile of
-// that GEMM through the specialized kernel; otherwise the generic
-// `execute_tile` stages tiles per block exactly as before. Both paths are
-// bit-identical; `exec.dispatch.{specialized,generic}` count the choice.
+// One tile path: every C tile is a full-K accumulate into a row-major
+// BY x BX scratch followed by one store. The executors pack a GEMM's A/B
+// panels once per call when its packed footprint fits the pack budgets
+// (packing.hpp); its tiles then run the active ISA's SIMD tile loop when one
+// covers the geometry (simd.hpp), else the scalar packed loop. GEMMs the
+// budget does not admit stage tiles per block through the generic path
+// (`execute_tile`). All paths are bit-identical;
+// `exec.dispatch.{specialized,generic}` count packed vs generic tiles and
+// `exec.simd.*` the ISA that ran them. The store applies alpha/beta, the
+// edge clip and any fused epilogue.
 //
 // Execution is block-parallel on the host: the executors fan independent
 // thread blocks out over ctb::parallel_for (OpenMP, serial fallback). This
@@ -70,8 +73,8 @@ struct GemmOperands {
   /// shape by value and the input tensor by const pointer.
   std::function<float(int k, int j)> b_gather;
   /// Packed fused-epilogue chain (epilogue.hpp), applied inside the tile
-  /// store — after a split tile's last K slice — instead of a separate
-  /// elementwise pass over C. 0 = none (byte-identical to the plain store).
+  /// store — after the tile's full K chain, split-K included — instead of a
+  /// separate elementwise pass over C. 0 = none (the plain store).
   /// For plan-driven execution the plan's epilogue_of_gemm entry must match
   /// this spec; audit_plan_operands enforces the agreement.
   int epilogue = 0;
@@ -80,35 +83,24 @@ struct GemmOperands {
   EpilogueArgs epilogue_args;
 };
 
-/// Executes one C tile (ty, tx) of `g` under `strategy`: stages A/B tiles
-/// through an emulated shared memory, accumulates per-thread register
-/// sub-tiles over the K loop, and applies the alpha/beta epilogue with
-/// boundary guards.
+/// Executes one C tile (ty, tx) of `g` under `strategy` through the generic
+/// path: stages A/B tiles through an emulated shared memory, accumulates
+/// per-thread register sub-tiles over the whole K loop, then applies the
+/// alpha/beta store (and any fused epilogue) with boundary guards.
 void execute_tile(const TilingStrategy& strategy, const GemmOperands& g,
                   int ty, int tx, float alpha, float beta);
 
-/// Fig. 2: classic one-tile-per-block single GEMM.
+/// Fig. 2: classic one-tile-per-block single GEMM — run_vbatch over a batch
+/// of one, so it audits its operands the same way.
 void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
                      float alpha, float beta);
 
-/// Split-K single GEMM: each C tile's K loop is partitioned into up to
-/// `splitk` BK-aligned slices executed by one task as a carried chain
-/// through a workspace accumulator, so C is bitwise identical to the
-/// unsplit call at any thread count and SIMD ISA. `splitk <= 1` (or a
-/// single-step K loop) degrades to the unsplit path.
-void run_single_gemm(const TilingStrategy& strategy, const GemmOperands& g,
-                     float alpha, float beta, int splitk);
-
 /// MAGMA vbatch: one uniform strategy, grid sized by the largest GEMM's tile
 /// count, gridDim.z = batch; out-of-range (bubble) blocks return immediately.
+/// Runs audit_operands first, so malformed operands or epilogue arguments
+/// throw before any matrix memory is touched.
 void run_vbatch(const TilingStrategy& strategy,
                 std::span<const GemmOperands> batch, float alpha, float beta);
-
-/// Split-K vbatch: per-GEMM K slicing with the same carried chain and
-/// bit-exactness guarantee as the split-K single-GEMM path.
-void run_vbatch(const TilingStrategy& strategy,
-                std::span<const GemmOperands> batch, float alpha, float beta,
-                int splitk);
 
 /// Audits the operand array alone: every GEMM has valid dims, an A pointer,
 /// a B pointer or gather, and a C pointer; any fused-epilogue spec is a

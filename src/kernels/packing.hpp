@@ -1,4 +1,4 @@
-// Operand panel packing for the specialized microkernels.
+// Operand panel packing for the packed tile loops.
 //
 // The generic executor re-stages the same A row-panel for every tile in a
 // C-tile row and the same B column-panel for every tile in a C-tile column,
@@ -8,8 +8,9 @@
 // panel a sequence of K-step blocks in precisely the layout the emulated
 // shared memory uses (A block `a[i * BK + p]`, B block `b[p * BX + j]`,
 // zero-padded past the matrix edges, values rounded through binary16 on the
-// fp16 path, `b_gather` materialized). Interior K-loop iterations of the
-// microkernel then read branch-free contiguous memory.
+// fp16 path, `b_gather` materialized). The K loops of the packed tile
+// paths (the SIMD tile loops and the scalar packed loop) then read
+// branch-free contiguous memory.
 //
 // Bit-exactness: `staged_a_value` / `staged_b_value` are the specification
 // of staged operand values — the generic executor's SharedTiles staging
@@ -29,7 +30,7 @@
 // zero-filled only to be overwritten.
 //
 // Packed buffers are transient per executor call, bounded by the pack-arena
-// budget (see `pack_arena_budget`): a call packs eligible GEMMs in batch
+// budget (see `pack_arena_budget`): a call packs GEMMs in batch
 // order until the budget is exhausted, and every GEMM past that point runs
 // through the generic unpacked staging path instead.
 #pragma once
@@ -41,6 +42,7 @@
 
 #include "core/tiling_strategy.hpp"
 #include "kernels/functional.hpp"
+#include "kernels/simd.hpp"
 #include "linalg/half.hpp"
 
 namespace ctb {
@@ -138,6 +140,15 @@ std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d);
 /// `exec.pack.panels` and `exec.pack.bytes`. Safe to call from inside a
 /// parallel_for worker (it only reads `g` and writes its own buffers).
 PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g);
+
+/// Executes C tile (ty, tx) of `g` from panels `pk` packed for `s`: a
+/// full-K accumulate through `loop` — the SIMD tile loop for the geometry,
+/// as simd_tile_loop returns it — or, when `loop` is null, through the
+/// scalar packed loop, then the one tile store (alpha/beta, edge clip,
+/// fused epilogue). The executors run every packed tile through here.
+void execute_packed_tile(const TilingStrategy& s, const GemmOperands& g,
+                         const PackedGemm& pk, SimdTileLoopFn loop, int ty,
+                         int tx, float alpha, float beta);
 
 /// Pack-arena budget in bytes for a single executor call (default 256 MiB,
 /// overridable at startup with CTB_PACK_BUDGET=<bytes>). GEMMs whose packs

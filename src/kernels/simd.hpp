@@ -1,18 +1,22 @@
-// Runtime-dispatched explicit-SIMD tile loops for the packed microkernels.
+// Runtime-dispatched explicit-SIMD tile loops and store rows.
 //
-// The compile-time microkernels in microkernel.hpp rely on the compiler
-// auto-vectorizing their unrolled j-loops. This layer replaces the interior
-// K loop with hand-vectorized code: per-ISA translation units (simd_avx2.cpp,
-// simd_avx512.cpp, simd_neon.cpp) instantiate one shared tile-loop template
+// Every packed tile accumulates into a row-major BY x BX scratch and then
+// runs the one tile store (functional.cpp). This layer supplies the vector
+// halves of both: per-ISA translation units (simd_avx2.cpp, simd_avx512.cpp,
+// simd_neon.cpp) instantiate one shared tile-loop template
 // (simd_kernels.inl) per distinct Table-1/2 tile geometry, vectorizing along
-// the j (x) axis so every vector lane owns exactly one C element.
+// the j (x) axis so every vector lane owns exactly one C element, plus one
+// store-row kernel for the alpha/beta (+ fused epilogue) store of an fp32
+// row.
+// A geometry without a loop here, and every tile under the scalar ISA, runs
+// the runtime-bound scalar packed loop instead.
 //
 // Determinism (DESIGN.md §6): lanes are independent C elements, so each
 // element's accumulation chain is still scalar-ordered — ascending (k0, p)
 // over the staged panel values — and the multiply and add are written as
 // separate statements under the global -ffp-contract=off, so no lane ever
 // sees a fused or reassociated operation. The SIMD result is bit-identical
-// to the scalar microkernels and the generic executor for every geometry,
+// to the scalar packed loop and the generic executor for every geometry,
 // precision, transpose mode, and gather.
 //
 // Dispatch: `detected_simd_isa()` probes the host once (CPUID on x86-64,
@@ -20,8 +24,8 @@
 // detection, optionally overridden by CTB_SIMD_ISA=scalar|neon|avx2|avx512
 // in the environment, and is clamped so it never exceeds what the host
 // supports. Building with -DCTB_SIMD=OFF compiles every per-ISA table to an
-// empty stub and detection reports kScalar, so the scalar microkernels carry
-// the whole suite.
+// empty stub and detection reports kScalar, so the scalar packed loop and
+// the scalar store chain run every tile.
 //
 // This header deliberately defines no inline functions: it is included by
 // translation units compiled with different target flags (-mavx2, -mavx512f),
@@ -40,13 +44,6 @@ enum class SimdIsa { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 /// accumulator (`acc[i * BX + j]`), fully overwriting it (every element is
 /// the sum-from-zero, so callers need not clear the scratch). The caller
 /// applies the alpha/beta epilogue; the loop touches nothing else.
-///
-/// Each table entry also carries an accumulate-in variant with the same
-/// signature (`fn_acc`): instead of starting from zero it loads the vector
-/// accumulators from `acc` and continues the chain — the split-K sliced
-/// path continues a tile's ascending (k0, p) chain across K slices
-/// through it. Pass `a_panel`/`b_panel` pre-offset to the slice's first
-/// step and `nsteps` = the slice's step count.
 using SimdTileLoopFn = void (*)(const float* a_panel, const float* b_panel,
                                 int nsteps, float* acc);
 
@@ -56,10 +53,10 @@ using SimdTileLoopFn = void (*)(const float* a_panel, const float* b_panel,
 struct SimdLoopEntry {
   int by, bx, bk;
   SimdTileLoopFn fn;
-  SimdTileLoopFn fn_acc;
 };
 
-/// One C row's worth of fused-epilogue store work (DESIGN.md §12): the
+/// One C row's worth of tile-store work: alpha/beta plus any fused epilogue
+/// chain (DESIGN.md §12); a plain GEMM is the empty chain (nops == 0). The
 /// caller resolves everything row-scoped — the destination row pointer
 /// (already through any row permutation), the residual row, and this row's
 /// bias value — so the kernel only walks columns. `ops` holds the packed
@@ -82,8 +79,8 @@ struct EpilogueRowArgs {
   int nops = 0;
 };
 
-/// Vectorized fused-epilogue store of one row; bit-identical to the scalar
-/// per-element chain (separate multiply/add statements, sign-preserving
+/// Vectorized store of one row; bit-identical to the scalar per-element
+/// chain (separate multiply/add statements, sign-preserving
 /// relu select) for every op combination.
 using SimdEpilogueRowFn = void (*)(const EpilogueRowArgs& row);
 
@@ -94,7 +91,7 @@ namespace simd_detail {
 const SimdLoopEntry* avx2_loops(int* count);
 const SimdLoopEntry* avx512_loops(int* count);
 const SimdLoopEntry* neon_loops(int* count);
-/// Per-ISA fused-epilogue row kernels; nullptr when the ISA is unavailable.
+/// Per-ISA store-row kernels; nullptr when the ISA is unavailable.
 SimdEpilogueRowFn avx2_epilogue_row();
 SimdEpilogueRowFn avx512_epilogue_row();
 SimdEpilogueRowFn neon_epilogue_row();
@@ -106,7 +103,7 @@ SimdIsa detected_simd_isa();
 /// The ISA the executors dispatch on: detection clamped by CTB_SIMD_ISA and
 /// any set_simd_isa() call. Never exceeds detected_simd_isa(); requesting an
 /// ISA the host lacks (e.g. neon on x86-64) selects an empty table, and the
-/// dispatcher falls back to the scalar microkernels — still bit-exact.
+/// executors fall back to the scalar packed loop — still bit-exact.
 SimdIsa active_simd_isa();
 
 /// Overrides the active ISA (clamped to the detected one). For in-process
@@ -124,15 +121,11 @@ SimdIsa parse_simd_isa(const char* name);
 
 /// The `isa` tile loop for the given geometry, or nullptr when that ISA has
 /// no kernel for it (unknown geometry, ISA unavailable on this host/build,
-/// or isa == kScalar, which by design has no entries here — scalar tiles run
-/// the compile-time microkernels).
+/// or isa == kScalar, which by design has no entries here — those tiles run
+/// the scalar packed loop).
 SimdTileLoopFn simd_tile_loop(SimdIsa isa, int by, int bx, int bk);
 
-/// The accumulate-in (chain-continuation) variant of simd_tile_loop; same
-/// availability: non-null exactly when simd_tile_loop is.
-SimdTileLoopFn simd_tile_loop_acc(SimdIsa isa, int by, int bx, int bk);
-
-/// The `isa` fused-epilogue row kernel, or nullptr (isa == kScalar, or the
+/// The `isa` store-row kernel, or nullptr (isa == kScalar, or the
 /// ISA is unavailable on this host/build) — the caller then runs the scalar
 /// per-element chain, which is bit-identical.
 SimdEpilogueRowFn simd_epilogue_row(SimdIsa isa);

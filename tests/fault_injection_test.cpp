@@ -399,6 +399,58 @@ TEST(FaultInjection, EpilogueOperandFaultsRejectedBeforeMemoryAccess) {
   }
 }
 
+// The plan-free entry points audit the same operand block: run_vbatch (and
+// run_single_gemm, a vbatch of one) must reject a kBias chain without its
+// buffer — it would otherwise run with bias 0 — and a non-bijective row
+// permutation — every tile would write row 0, a data race under
+// parallel_for — before any element of C is written.
+TEST(FaultInjection, SingleAndVbatchRejectMalformedEpilogueOperands) {
+  const std::vector<GemmDims> dims = {{24, 40, 32}, {48, 16, 64}};
+  const TilingStrategy& s =
+      batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  const int bias_relu =
+      epilogue_push(epilogue_push(0, EpilogueOp::kBias), EpilogueOp::kRelu);
+  const std::vector<int> specs = {bias_relu,
+                                  epilogue_push(0, EpilogueOp::kRowPerm)};
+  std::vector<int> identity(st(dims[1].m));
+  for (std::size_t i = 0; i < identity.size(); ++i)
+    identity[i] = static_cast<int>(i);
+  const std::vector<int> all_to_zero(st(dims[1].m), 0);
+  auto fresh = [&](const std::vector<int>& perm) {
+    Workspace ws(dims, 61, kSentinel, specs);
+    ws.ops[1].epilogue_args.row_perm = perm.data();
+    ws.ops[1].epilogue_args.row_perm_len = dims[1].m;
+    return ws;
+  };
+
+  {  // Baseline sanity: the healthy workspace executes on both entry points.
+    Workspace ws = fresh(identity);
+    run_single_gemm(s, ws.ops[0], 1.0f, 0.0f);
+    run_vbatch(s, ws.ops, 1.0f, 0.0f);
+    EXPECT_FALSE(ws.c_untouched());
+  }
+  for (const bool single : {true, false}) {
+    const std::string entry = single ? "run_single_gemm" : "run_vbatch";
+    {  // Bias buffer missing on GEMM 0.
+      Workspace ws = fresh(identity);
+      ws.ops[0].epilogue_args.bias = nullptr;
+      if (single)
+        EXPECT_THROW(run_single_gemm(s, ws.ops[0], 1.0f, 0.0f), CheckError);
+      else
+        EXPECT_THROW(run_vbatch(s, ws.ops, 1.0f, 0.0f), CheckError);
+      EXPECT_TRUE(ws.c_untouched()) << entry << ": bias missing";
+    }
+    {  // GEMM 1's row permutation sends every row to row 0.
+      Workspace ws = fresh(all_to_zero);
+      if (single)
+        EXPECT_THROW(run_single_gemm(s, ws.ops[1], 1.0f, 0.0f), CheckError);
+      else
+        EXPECT_THROW(run_vbatch(s, ws.ops, 1.0f, 0.0f), CheckError);
+      EXPECT_TRUE(ws.c_untouched()) << entry << ": non-bijective rows";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service-level chaos (DESIGN.md §10): the four injected failure classes the
 // plan service must survive. Every class either serves a plan that executes

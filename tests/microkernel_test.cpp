@@ -1,10 +1,11 @@
-// Specialized packed microkernels (kernels/microkernel.hpp + packing.hpp):
-// every Table-2 strategy id must resolve to a compile-time kernel, packed
-// panels must reproduce the exact guarded staged values (transpose, fp16
-// rounding, implicit-GEMM gather, zero padding), and the specialized path
-// must be bit-identical to the generic executor for edge and interior
-// tiles across all executors. ScopedPackArenaBudget(0) is the lever that
-// forces the generic unpacked path for the A/B comparisons.
+// The packed tile path (packing.hpp + simd.hpp): packed panels must
+// reproduce the exact guarded staged values (transpose, fp16 rounding,
+// implicit-GEMM gather, zero padding), every Table-1/2 geometry must have a
+// SIMD tile loop under each runnable vector ISA, and the packed path — SIMD
+// loop or scalar packed loop, then the one store — must be bit-identical to
+// the generic executor for edge and interior tiles across all executors.
+// ScopedPackArenaBudget(0) is the lever that forces the generic unpacked
+// path for the A/B comparisons.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,8 +24,8 @@
 
 #include "core/api.hpp"
 #include "kernels/functional.hpp"
-#include "kernels/microkernel.hpp"
 #include "kernels/packing.hpp"
+#include "kernels/simd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
 
@@ -95,31 +96,6 @@ void expect_specialized_matches_generic(MakeCase&& make, Run&& run,
     run(generic_case);
   }
   expect_bitwise_equal(packed_case.c, generic_case.c, what);
-}
-
-TEST(MicrokernelDispatch, EveryTable2IdResolvesToSpecializedKernel) {
-  for (int id = 0; id < 12; ++id) {
-    const TilingStrategy& s = batched_strategy_by_id(id);
-    EXPECT_NE(microkernel_for_id(id), nullptr) << s.name();
-    EXPECT_EQ(microkernel_for_id(id), microkernel_for(s)) << s.name();
-  }
-  EXPECT_EQ(microkernel_for_id(-1), nullptr);
-  EXPECT_EQ(microkernel_for_id(12), nullptr);
-}
-
-TEST(MicrokernelDispatch, Table1SuiteResolvesByGeometry) {
-  for (const TilingStrategy& s : single_gemm_strategies())
-    EXPECT_NE(microkernel_for(s), nullptr) << s.name();
-}
-
-TEST(MicrokernelDispatch, UnknownGeometryFallsBackToNull) {
-  TilingStrategy s = batched_strategy_by_id(0);
-  s.bk = 4;  // no strategy table carries BK != 8
-  EXPECT_EQ(microkernel_for(s), nullptr);
-  s = batched_strategy_by_id(2);
-  s.sub_x = 8;  // geometry not in any table
-  s.bk = 8;
-  EXPECT_EQ(microkernel_for(s), nullptr);
 }
 
 // Leaves freed heap blocks of `a_floats` and `b_floats` NaNs behind, so the
@@ -416,8 +392,8 @@ TEST(Microkernel, PartialBudgetMixesPathsBitExact) {
 
 // ---------------------------------------------------------- SIMD dispatch --
 // The explicit-SIMD layer (kernels/simd.hpp) must be bit-identical to the
-// generic executor under every ISA the host can run, and the dispatcher
-// must fall back to the scalar microkernels cleanly everywhere else.
+// generic executor under every ISA the host can run, and tiles without a
+// loop must fall back to the scalar packed loop cleanly everywhere else.
 
 // The ISAs this host can actually execute: always kScalar, plus every level
 // up to detected_simd_isa() that has a non-empty kernel table.
@@ -430,42 +406,85 @@ std::vector<SimdIsa> runnable_isas() {
   return isas;
 }
 
-TEST(SimdDispatch, EveryTable2IdResolvesUnderEveryRunnableIsa) {
+#ifdef CTB_TELEMETRY_ENABLED
+std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
+                           const std::string& name) {
+  for (const auto& c : snap.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "counter " << name << " missing from snapshot";
+  return -1;
+}
+#endif
+
+// The dispatch rule: a GEMM packs iff the pack budgets admit it, and a
+// packed tile runs the active ISA's SIMD loop when one covers its
+// (BY, BX, BK), else the scalar packed loop. Every Table-1/2 strategy has a
+// loop under each runnable vector ISA. Geometries outside the suites pack
+// too — BK = 4 has no SIMD loop and runs the scalar loop; sub_x = 8 on a
+// 32x32 tile changes only the emulated thread layout, which no loop is
+// keyed on — and stay bit-exact against the budget-0 generic path. ISA
+// requests clamp to the detected ISA.
+TEST(TileDispatch, PackedTilesFollowOneRuleForEveryGeometry) {
   for (SimdIsa isa : runnable_isas()) {
-    ScopedSimdIsa guard(isa);
+    if (isa == SimdIsa::kScalar) continue;
     for (int id = 0; id < 12; ++id) {
       const TilingStrategy& s = batched_strategy_by_id(id);
-      const TileKernel k = tile_kernel_for(s);
-      ASSERT_TRUE(static_cast<bool>(k)) << s.name();
-      EXPECT_EQ(k.isa, isa) << s.name() << " under " << simd_isa_name(isa);
-      if (isa == SimdIsa::kScalar)
-        EXPECT_EQ(k.fn, microkernel_for(s)) << s.name();
-      else
-        EXPECT_NE(k.fn, microkernel_for(s)) << s.name();
+      EXPECT_NE(simd_tile_loop(isa, s.by, s.bx, s.bk), nullptr)
+          << s.name() << " under " << simd_isa_name(isa);
     }
-    for (const TilingStrategy& s : single_gemm_strategies()) {
-      const TileKernel k = tile_kernel_for(s);
-      ASSERT_TRUE(static_cast<bool>(k)) << "table1/" << s.name();
-      EXPECT_EQ(k.isa, isa) << "table1/" << s.name();
-    }
+    for (const TilingStrategy& s : single_gemm_strategies())
+      EXPECT_NE(simd_tile_loop(isa, s.by, s.bx, s.bk), nullptr)
+          << "table1/" << s.name() << " under " << simd_isa_name(isa);
   }
-}
 
-TEST(SimdDispatch, UnknownGeometryAndUnavailableIsaFallBackToScalar) {
-  TilingStrategy s = batched_strategy_by_id(0);
-  s.bk = 4;  // no SIMD loop carries BK != 8
-  {
-    ScopedSimdIsa guard(detected_simd_isa());
-    EXPECT_EQ(tile_kernel_for(s).fn, nullptr);
-    EXPECT_EQ(tile_kernel_for(s).isa, SimdIsa::kScalar);
+  TilingStrategy bk4 = batched_strategy_by_id(0);  // small/128
+  bk4.bk = 4;  // no strategy table carries BK != 8
+  TilingStrategy sub8 = batched_strategy_by_id(2);  // medium/128, 32x32
+  sub8.sub_x = 8;
+  sub8.threads = (sub8.by / sub8.sub_y) * (sub8.bx / sub8.sub_x);
+  for (const TilingStrategy& s : {bk4, sub8}) {
+    const GemmDims d = ragged_dims(s);
+    for (SimdIsa isa : runnable_isas()) {
+      ScopedSimdIsa guard(isa);
+      const std::string what = s.name() + " bk=" + std::to_string(s.bk) +
+                               " sub_x=" + std::to_string(s.sub_x) + " " +
+                               simd_isa_name(isa);
+      const bool has_loop = simd_tile_loop(isa, s.by, s.bx, s.bk) != nullptr;
+      if (s.bk != 8) {
+        EXPECT_FALSE(has_loop) << what;
+      }
+#ifdef CTB_TELEMETRY_ENABLED
+      telemetry::reset();
+      telemetry::set_enabled(true);
+#endif
+      expect_specialized_matches_generic(
+          [&] { return GemmCase(d, Op::kN, Op::kT, Precision::kFp32, false,
+                                1100); },
+          [&](GemmCase& gc) { run_single_gemm(s, gc.ops, 1.25f, 0.5f); },
+          what);
+#ifdef CTB_TELEMETRY_ENABLED
+      // Both runs counted: the packed one and the budget-0 generic one.
+      const auto snap = telemetry::snapshot();
+      const std::int64_t tiles = s.tiles_for(d.m, d.n);
+      EXPECT_EQ(counter_value(snap, "exec.dispatch.specialized"), tiles)
+          << what;
+      EXPECT_EQ(counter_value(snap, "exec.dispatch.generic"), tiles) << what;
+      const SimdIsa ran = has_loop ? isa : SimdIsa::kScalar;
+      EXPECT_EQ(counter_value(snap, std::string("exec.simd.") +
+                                        simd_isa_name(ran)),
+                ran == SimdIsa::kScalar ? 2 * tiles : tiles)
+          << what;
+      telemetry::set_enabled(false);
+      telemetry::reset();
+#endif
+    }
   }
+
   // Requesting an ISA beyond the host clamps rather than dispatching a
-  // kernel the CPU cannot execute.
-  {
-    ScopedSimdIsa guard(SimdIsa::kAvx512);
-    EXPECT_LE(static_cast<int>(active_simd_isa()),
-              static_cast<int>(detected_simd_isa()));
-  }
+  // loop the CPU cannot execute.
+  ScopedSimdIsa guard(SimdIsa::kAvx512);
+  EXPECT_LE(static_cast<int>(active_simd_isa()),
+            static_cast<int>(detected_simd_isa()));
 }
 
 // The acceptance sweep: every Table-2 strategy x {fp32, fp16} x {N, T} on
@@ -507,8 +526,8 @@ TEST(SimdDispatch, BitExactVsGenericAllStrategiesAllIsas) {
   }
 }
 
-// Cross-ISA: the vectorized kernels must agree bitwise with the SCALAR
-// microkernels directly (not just transitively via the generic path), and
+// Cross-ISA: the vectorized loops must agree bitwise with the SCALAR
+// packed loop directly (not just transitively via the generic path), and
 // stay bit-exact at any thread count.
 TEST(SimdDispatch, VectorIsaMatchesScalarIsaAtAnyThreadCount) {
   for (SimdIsa isa : runnable_isas()) {
@@ -844,14 +863,6 @@ TEST(SimdDispatch, TileLoopRunsNearMulAddCeiling) {
 
 #ifdef CTB_TELEMETRY_ENABLED
 
-std::int64_t counter_value(const telemetry::MetricsSnapshot& snap,
-                           const std::string& name) {
-  for (const auto& c : snap.counters)
-    if (c.name == name) return c.value;
-  ADD_FAILURE() << "counter " << name << " missing from snapshot";
-  return -1;
-}
-
 // Dispatch and pack counters: a specialized run counts every tile as
 // specialized plus the packed panels/bytes/reuse; a zero-budget run counts
 // every tile as generic and packs nothing.
@@ -888,7 +899,7 @@ TEST(Microkernel, DispatchCountersTrackPaths) {
 }
 
 // exec.simd.* partitions ALL executed tiles by the ISA that ran them:
-// vector-kernel tiles under the active vector ISA, scalar-microkernel and
+// vector-loop tiles under the active vector ISA, scalar-loop and
 // generic-executor tiles under exec.simd.scalar.
 TEST(Microkernel, SimdCountersPartitionTilesByIsa) {
   const TilingStrategy& s = batched_strategy_by_id(4);  // large/128

@@ -1,14 +1,17 @@
 // Determinism of split-K execution (DESIGN.md §11).
 //
 // Split-K partitions a tile's K loop into BK-aligned slices planned as
-// separate blocks; the host executors run each coordinate's single
-// ascending (k0, p) accumulation chain through the slices in K order in one
-// task (a carried chain — the left-spine of the reduction tree), so the
-// result is BITWISE identical to the unsplit execution. This test pins
-// that contract where it can break: under parallel_for at 1/2/4/8 threads,
-// across all three executors, hand-built plans whose slices sit out of
-// order, fp32 and fp16, N/T transpose variants, the gather
-// (implicit-GEMM) path, and every SIMD ISA reachable on the host.
+// separate blocks; run_batched_plan runs each coordinate whole, as one
+// ascending (k0, p) accumulation chain in the block holding its
+// k_begin == 0 slice (the left spine of the reduction tree), so the result
+// is BITWISE identical to the unsplit execution. Every case below goes
+// through one harness: the unsplit plan, run serially under the scalar
+// ISA, is the reference, and the split plan must match it under parallel_for
+// at 1/2/4/8 threads. The inputs cover hand-built plans at several slice
+// counts (including slices sitting out of order), every Table-2 strategy,
+// fp32 and fp16, N/T transpose variants, the gather (implicit-GEMM) path,
+// mixed batches with single-step K, planner-forced splits, and every SIMD
+// ISA reachable on the host.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,17 +51,22 @@ struct BatchCase {
   std::vector<GemmOperands> ops;
 };
 
+/// Random operands for `dims`; `op_a`/`op_b` = kT stores that operand
+/// transposed (A as K x M, B as N x K).
 BatchCase make_batch(std::span<const GemmDims> dims, std::uint64_t seed,
-                     Precision precision = Precision::kFp32) {
+                     Precision precision = Precision::kFp32,
+                     Op op_a = Op::kN, Op op_b = Op::kN) {
   BatchCase bc;
   Rng rng(seed);
   for (const auto& d : dims) {
-    bc.a.push_back(rand_mat(d.m, d.k, rng));
-    bc.b.push_back(rand_mat(d.k, d.n, rng));
+    bc.a.push_back(op_a == Op::kN ? rand_mat(d.m, d.k, rng)
+                                  : rand_mat(d.k, d.m, rng));
+    bc.b.push_back(op_b == Op::kN ? rand_mat(d.k, d.n, rng)
+                                  : rand_mat(d.n, d.k, rng));
     bc.c.push_back(rand_mat(d.m, d.n, rng));
   }
   for (std::size_t i = 0; i < dims.size(); ++i) {
-    bc.ops.push_back(operands(bc.a[i], bc.b[i], bc.c[i]));
+    bc.ops.push_back(operands(bc.a[i], bc.b[i], bc.c[i], op_a, op_b));
     bc.ops.back().precision = precision;
   }
   return bc;
@@ -77,112 +85,117 @@ BatchPlan uniform_plan(std::span<const GemmDims> dims,
   return build_plan(blocks, s.threads);
 }
 
-// ---------------------------------------------------------- single GEMM --
-
-TEST(SplitKSingleGemm, ThreadAndSliceSweepBitExact) {
-  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
-  // Ragged in every dimension; K % BK != 0 puts the zero-padded tail step
-  // inside the last slice.
-  const std::vector<GemmDims> dims = {{70, 45, 77}};
-  auto reference = make_batch(dims, 42);
+/// The split-K harness: `unsplit` runs once, serially under the scalar ISA,
+/// on operands from `make`; `split` then runs under `isa` at every thread
+/// count on fresh operands from `make`, and every GEMM's C must match the
+/// reference bitwise.
+template <typename Make>
+void expect_split_plan_bit_exact(const BatchPlan& unsplit,
+                                 const BatchPlan& split, Make&& make,
+                                 float alpha, float beta,
+                                 const std::string& what,
+                                 SimdIsa isa = active_simd_isa()) {
+  ASSERT_TRUE(split.has_split()) << what;
+  ASSERT_FALSE(unsplit.has_split()) << what;
+  BatchCase reference = make();
   {
-    ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.5f, -0.5f);
+    ScopedSimdIsa scalar(SimdIsa::kScalar);
+    ScopedParallelThreads serial(1);
+    run_batched_plan(unsplit, reference.ops, alpha, beta);
   }
-  for (int slices : kSliceCounts) {
-    for (int threads : kThreadCounts) {
-      auto split = make_batch(dims, 42);
-      ScopedParallelThreads guard(threads);
-      run_single_gemm(s, split.ops[0], 1.5f, -0.5f, slices);
-      expect_bitwise_equal(reference.c[0], split.c[0],
-                           "single splitk=" + std::to_string(slices) +
-                               " threads=" + std::to_string(threads));
-    }
+  ScopedSimdIsa isa_guard(isa);
+  for (int threads : kThreadCounts) {
+    BatchCase split_case = make();
+    ScopedParallelThreads guard(threads);
+    run_batched_plan(split, split_case.ops, alpha, beta);
+    for (std::size_t i = 0; i < reference.c.size(); ++i)
+      expect_bitwise_equal(reference.c[i], split_case.c[i],
+                           what + " isa=" + simd_isa_name(active_simd_isa()) +
+                               " gemm " + std::to_string(i) + " threads=" +
+                               std::to_string(threads));
   }
+}
+
+/// A hand-built uniform split of `dims` into `slices` K ranges under `s`,
+/// checked against the unsplit plan through the harness.
+template <typename Make>
+void expect_uniform_split_bit_exact(std::span<const GemmDims> dims,
+                                    const TilingStrategy& s, int slices,
+                                    Make&& make, float alpha, float beta,
+                                    const std::string& what,
+                                    SimdIsa isa = active_simd_isa()) {
+  const BatchPlan split = uniform_plan(dims, s, slices);
+  validate_plan(split, dims);
+  expect_split_plan_bit_exact(uniform_plan(dims, s, 1), split, make, alpha,
+                              beta, what, isa);
+}
+
+// --------------------------------------------------------- batched plan --
+
+TEST(SplitKBatchedPlan, HandBuiltPlanBitExact) {
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  const std::vector<GemmDims> dims = {{70, 45, 77}, {64, 64, 160}, {33, 33, 24}};
+  const BatchPlan unsplit = uniform_plan(dims, s, 1);
+  const BatchPlan split = uniform_plan(dims, s, 4);
+  ASSERT_GT(split.num_blocks(), unsplit.num_blocks());
+  validate_plan(split, dims);
+
+  for (const Precision precision : {Precision::kFp32, Precision::kFp16})
+    expect_split_plan_bit_exact(
+        unsplit, split, [&] { return make_batch(dims, 7, precision); }, 2.0f,
+        -1.0f,
+        std::string("plan ") +
+            (precision == Precision::kFp16 ? "fp16" : "fp32"));
+}
+
+// Slice-count sweep on a GEMM ragged in every dimension: K % BK != 0 puts
+// the zero-padded tail step inside the last slice.
+TEST(SplitKBatchedPlan, SliceCountSweepBitExact) {
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  const std::vector<GemmDims> dims = {{70, 45, 77}};
+  for (int slices : kSliceCounts)
+    expect_uniform_split_bit_exact(
+        dims, s, slices, [&] { return make_batch(dims, 42); }, 1.5f, -0.5f,
+        "slices=" + std::to_string(slices));
 }
 
 class SplitKAllStrategies : public ::testing::TestWithParam<int> {};
 
-TEST_P(SplitKAllStrategies, SingleGemmBitExact) {
+TEST_P(SplitKAllStrategies, BatchedPlanBitExact) {
   const TilingStrategy& s = batched_strategy_by_id(GetParam());
   const std::vector<GemmDims> dims = {
       {2 * s.by + 3, s.bx + 5, 6 * s.bk + 3}};
-  auto reference = make_batch(dims, 51);
-  {
-    ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.0f, 0.25f);
-  }
-  auto split = make_batch(dims, 51);
-  {
-    ScopedParallelThreads guard(4);
-    run_single_gemm(s, split.ops[0], 1.0f, 0.25f, 4);
-  }
-  expect_bitwise_equal(reference.c[0], split.c[0],
-                       "all-strategies " + s.name());
+  expect_uniform_split_bit_exact(
+      dims, s, 4, [&] { return make_batch(dims, 51); }, 1.0f, 0.25f,
+      "all-strategies " + s.name());
 }
 
 INSTANTIATE_TEST_SUITE_P(Ids, SplitKAllStrategies, ::testing::Range(0, 12));
 
-TEST(SplitKSingleGemm, Fp16BitExact) {
+TEST(SplitKBatchedPlan, Fp16BitExact) {
   const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k128);
   const std::vector<GemmDims> dims = {{90, 130, 100}};
-  auto reference = make_batch(dims, 99, Precision::kFp16);
-  {
-    ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.0f, 0.5f);
-  }
-  for (int threads : kThreadCounts) {
-    auto split = make_batch(dims, 99, Precision::kFp16);
-    ScopedParallelThreads guard(threads);
-    run_single_gemm(s, split.ops[0], 1.0f, 0.5f, 4);
-    expect_bitwise_equal(reference.c[0], split.c[0],
-                         "fp16 threads=" + std::to_string(threads));
-  }
+  expect_uniform_split_bit_exact(
+      dims, s, 4, [&] { return make_batch(dims, 99, Precision::kFp16); },
+      1.0f, 0.5f, "fp16");
 }
 
-TEST(SplitKSingleGemm, TransposeVariantsBitExact) {
+TEST(SplitKBatchedPlan, TransposeVariantsBitExact) {
   const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
-  const int m = 70, n = 45, k = 100;
-  for (const Op op_a : {Op::kN, Op::kT}) {
-    for (const Op op_b : {Op::kN, Op::kT}) {
-      const int ar = op_a == Op::kN ? m : k;
-      const int ac = op_a == Op::kN ? k : m;
-      const int br = op_b == Op::kN ? k : n;
-      const int bc = op_b == Op::kN ? n : k;
-      struct TCase {
-        Matrixf a, b, c;
-      };
-      auto make = [&] {
-        Rng rng(77);
-        return TCase{rand_mat(ar, ac, rng), rand_mat(br, bc, rng),
-                     rand_mat(m, n, rng)};
-      };
-      TCase reference = make();
-      {
-        ScopedParallelThreads guard(1);
-        run_single_gemm(
-            s, operands(reference.a, reference.b, reference.c, op_a, op_b),
-            1.0f, 0.25f);
-      }
-      for (int threads : kThreadCounts) {
-        TCase split = make();
-        ScopedParallelThreads guard(threads);
-        run_single_gemm(s,
-                        operands(split.a, split.b, split.c, op_a, op_b),
-                        1.0f, 0.25f, 4);
-        expect_bitwise_equal(reference.c, split.c,
-                             std::string("transpose op_a=") +
-                                 (op_a == Op::kT ? "T" : "N") + " op_b=" +
-                                 (op_b == Op::kT ? "T" : "N") + " threads=" +
-                                 std::to_string(threads));
-      }
-    }
-  }
+  const std::vector<GemmDims> dims = {{70, 45, 100}};
+  for (const Op op_a : {Op::kN, Op::kT})
+    for (const Op op_b : {Op::kN, Op::kT})
+      expect_uniform_split_bit_exact(
+          dims, s, 4,
+          [&] { return make_batch(dims, 77, Precision::kFp32, op_a, op_b); },
+          1.0f, 0.25f,
+          std::string("transpose op_a=") + to_string(op_a) +
+              " op_b=" + to_string(op_b));
 }
 
-// The gather (implicit-GEMM) path: B is a callable, so slicing must offset
-// the gather coordinates, not a pointer.
-TEST(SplitKSingleGemm, GatherPathBitExact) {
+// The gather (implicit-GEMM) path: B is a callable, so a split coordinate's
+// chain reads the gather, not a pointer, at every K step.
+TEST(SplitKBatchedPlan, GatherPathBitExact) {
   ConvShape shape;
   shape.name = "splitk_conv";
   shape.in_c = 7;
@@ -199,81 +212,30 @@ TEST(SplitKSingleGemm, GatherPathBitExact) {
     return t;
   }();
   const Matrixf filters = random_filters(shape, rng);
-  const GemmDims d = shape.gemm_dims(input.n());
+  const std::vector<GemmDims> dims = {shape.gemm_dims(input.n())};
   const auto& s = batched_strategy(TileShape::kSmall, ThreadVariant::k128);
-
-  Matrixf reference_out(static_cast<std::size_t>(d.m),
-                        static_cast<std::size_t>(d.n));
-  {
-    ScopedParallelThreads guard(1);
-    run_single_gemm(
-        s, implicit_conv_operands(shape, input, filters, reference_out),
-        1.0f, 0.0f);
-  }
-  for (int threads : kThreadCounts) {
-    Matrixf split_out(static_cast<std::size_t>(d.m),
-                      static_cast<std::size_t>(d.n));
-    ScopedParallelThreads guard(threads);
-    run_single_gemm(s,
-                    implicit_conv_operands(shape, input, filters, split_out),
-                    1.0f, 0.0f, 3);
-    expect_bitwise_equal(reference_out, split_out,
-                         "gather threads=" + std::to_string(threads));
-  }
+  expect_uniform_split_bit_exact(
+      dims, s, 3,
+      [&] {
+        BatchCase bc;
+        bc.c.emplace_back(static_cast<std::size_t>(dims[0].m),
+                          static_cast<std::size_t>(dims[0].n));
+        bc.ops.push_back(
+            implicit_conv_operands(shape, input, filters, bc.c[0]));
+        return bc;
+      },
+      1.0f, 0.0f, "gather");
 }
 
-// --------------------------------------------------------------- vbatch --
-
-TEST(SplitKVbatch, MixedSizesBitExact) {
-  const auto& s = single_gemm_strategy(TileShape::kMedium);
-  // Includes K=3 (a single BK step: must degrade to unsplit) and ragged Ks.
+// Mixed sizes in one plan, including K = 3 (a single BK step, which
+// split_tiles_k leaves whole) and ragged Ks.
+TEST(SplitKBatchedPlan, MixedSizesBitExact) {
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k128);
   const std::vector<GemmDims> dims = {
       {33, 65, 19}, {128, 128, 64}, {100, 40, 77}, {16, 16, 3}};
-  auto reference = make_batch(dims, 123);
-  {
-    ScopedParallelThreads guard(1);
-    run_vbatch(s, reference.ops, 1.25f, 0.5f);
-  }
-  for (int threads : kThreadCounts) {
-    auto split = make_batch(dims, 123);
-    ScopedParallelThreads guard(threads);
-    run_vbatch(s, split.ops, 1.25f, 0.5f, 4);
-    for (std::size_t i = 0; i < dims.size(); ++i)
-      expect_bitwise_equal(reference.c[i], split.c[i],
-                           "vbatch gemm " + std::to_string(i) + " threads=" +
-                               std::to_string(threads));
-  }
-}
-
-// --------------------------------------------------------- batched plan --
-
-TEST(SplitKBatchedPlan, HandBuiltPlanBitExact) {
-  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
-  const std::vector<GemmDims> dims = {{70, 45, 77}, {64, 64, 160}, {33, 33, 24}};
-  const BatchPlan unsplit = uniform_plan(dims, s, 1);
-  const BatchPlan split = uniform_plan(dims, s, 4);
-  ASSERT_TRUE(split.has_split());
-  ASSERT_GT(split.num_blocks(), unsplit.num_blocks());
-  validate_plan(split, dims);
-
-  for (const Precision precision : {Precision::kFp32, Precision::kFp16}) {
-    auto reference = make_batch(dims, 7, precision);
-    {
-      ScopedParallelThreads guard(1);
-      run_batched_plan(unsplit, reference.ops, 2.0f, -1.0f);
-    }
-    for (int threads : kThreadCounts) {
-      auto split_case = make_batch(dims, 7, precision);
-      ScopedParallelThreads guard(threads);
-      run_batched_plan(split, split_case.ops, 2.0f, -1.0f);
-      for (std::size_t i = 0; i < dims.size(); ++i)
-        expect_bitwise_equal(
-            reference.c[i], split_case.c[i],
-            std::string("plan ") +
-                (precision == Precision::kFp16 ? "fp16" : "fp32") + " gemm " +
-                std::to_string(i) + " threads=" + std::to_string(threads));
-    }
-  }
+  expect_uniform_split_bit_exact(
+      dims, s, 4, [&] { return make_batch(dims, 123); }, 1.25f, 0.5f,
+      "mixed");
 }
 
 // run_batched_plan runs a split coordinate whole in the block that holds
@@ -338,21 +300,8 @@ TEST(SplitKBatchedPlan, SeedAfterContinuationsBitExact) {
         }
         return bc;
       };
-      auto reference = make();
-      {
-        ScopedParallelThreads guard(1);
-        run_batched_plan(unsplit, reference.ops, 1.5f, 0.5f);
-      }
-      for (int threads : kThreadCounts) {
-        auto split_case = make();
-        ScopedParallelThreads guard(threads);
-        run_batched_plan(split, split_case.ops, 1.5f, 0.5f);
-        for (std::size_t i = 0; i < dims.size(); ++i)
-          expect_bitwise_equal(reference.c[i], split_case.c[i],
-                               "seed-last " + what + " gemm " +
-                                   std::to_string(i) + " threads=" +
-                                   std::to_string(threads));
-      }
+      expect_split_plan_bit_exact(unsplit, split, make, 1.5f, 0.5f,
+                                  "seed-last " + what);
     }
   }
 }
@@ -374,20 +323,9 @@ TEST(SplitKBatchedPlan, PlannerForcedSplitBitExact) {
   validate_plan(split.plan, dims);
   EXPECT_GT(split.plan.num_blocks(), unsplit.plan.num_blocks());
 
-  auto reference = make_batch(dims, 91);
-  {
-    ScopedParallelThreads guard(1);
-    run_batched_plan(unsplit.plan, reference.ops, 1.0f, 0.5f);
-  }
-  for (int threads : kThreadCounts) {
-    auto split_case = make_batch(dims, 91);
-    ScopedParallelThreads guard(threads);
-    run_batched_plan(split.plan, split_case.ops, 1.0f, 0.5f);
-    for (std::size_t i = 0; i < dims.size(); ++i)
-      expect_bitwise_equal(reference.c[i], split_case.c[i],
-                           "planner-force gemm " + std::to_string(i) +
-                               " threads=" + std::to_string(threads));
-  }
+  expect_split_plan_bit_exact(
+      unsplit.plan, split.plan, [&] { return make_batch(dims, 91); }, 1.0f,
+      0.5f, "planner-force");
 }
 
 // The auto trigger: a TLP-scarce tall-skinny batch may split (and did, on
@@ -416,58 +354,34 @@ TEST(SplitKBatchedPlan, AutoTriggerRespectsTlpScarcity) {
 
 // ------------------------------------------------------------ SIMD ISAs --
 
-TEST(SplitKSimd, IsaSweepBitExact) {
-  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
-  const std::vector<GemmDims> dims = {{70, 45, 96}, {64, 64, 160}};
-  const BatchPlan unsplit = uniform_plan(dims, s, 1);
-  const BatchPlan split = uniform_plan(dims, s, 4);
-
-  // Sweep every ISA up to the host's capability: requesting more clamps, so
-  // each scope below genuinely dispatches a different kernel table.
+// Every ISA up to the host's capability: requesting more clamps, so each
+// entry genuinely dispatches a different tile-loop table.
+std::vector<SimdIsa> runnable_isas() {
   std::vector<SimdIsa> isas = {SimdIsa::kScalar};
   for (SimdIsa isa : {SimdIsa::kNeon, SimdIsa::kAvx2, SimdIsa::kAvx512})
     if (static_cast<int>(isa) <= static_cast<int>(detected_simd_isa()))
       isas.push_back(isa);
-
-  for (SimdIsa isa : isas) {
-    ScopedSimdIsa isa_guard(isa);
-    auto reference = make_batch(dims, 29);
-    {
-      ScopedParallelThreads guard(1);
-      run_batched_plan(unsplit, reference.ops, 1.5f, 0.25f);
-    }
-    for (int threads : kThreadCounts) {
-      auto split_case = make_batch(dims, 29);
-      ScopedParallelThreads guard(threads);
-      run_batched_plan(split, split_case.ops, 1.5f, 0.25f);
-      for (std::size_t i = 0; i < dims.size(); ++i)
-        expect_bitwise_equal(
-            reference.c[i], split_case.c[i],
-            std::string("isa=") + simd_isa_name(isa) + " gemm " +
-                std::to_string(i) + " threads=" + std::to_string(threads));
-    }
-  }
+  return isas;
 }
 
-// Cross-ISA: the split result under the host's best ISA equals the scalar
-// unsplit result — the strongest form of the contract, composing the SIMD
-// determinism guarantee (DESIGN.md §6) with the carried chain's.
+TEST(SplitKSimd, IsaSweepBitExact) {
+  const auto& s = batched_strategy(TileShape::kMedium, ThreadVariant::k256);
+  const std::vector<GemmDims> dims = {{70, 45, 96}, {64, 64, 160}};
+  for (SimdIsa isa : runnable_isas())
+    expect_uniform_split_bit_exact(
+        dims, s, 4, [&] { return make_batch(dims, 29); }, 1.5f, 0.25f,
+        "isa-sweep", isa);
+}
+
+// Cross-ISA at the deepest split: eight slices under the host's best ISA
+// equal the scalar unsplit result — the SIMD determinism guarantee
+// (DESIGN.md §6) composed with the one-chain-per-coordinate rule.
 TEST(SplitKSimd, BestIsaSplitMatchesScalarUnsplit) {
   const auto& s = batched_strategy(TileShape::kLarge, ThreadVariant::k256);
   const std::vector<GemmDims> dims = {{130, 70, 200}};
-  auto reference = make_batch(dims, 67);
-  {
-    ScopedSimdIsa isa_guard(SimdIsa::kScalar);
-    ScopedParallelThreads guard(1);
-    run_single_gemm(s, reference.ops[0], 1.0f, 0.0f);
-  }
-  auto split = make_batch(dims, 67);
-  {
-    ScopedSimdIsa isa_guard(detected_simd_isa());
-    ScopedParallelThreads guard(8);
-    run_single_gemm(s, split.ops[0], 1.0f, 0.0f, 8);
-  }
-  expect_bitwise_equal(reference.c[0], split.c[0], "best-isa-vs-scalar");
+  expect_uniform_split_bit_exact(
+      dims, s, 8, [&] { return make_batch(dims, 67); }, 1.0f, 0.0f,
+      "best-isa-vs-scalar", detected_simd_isa());
 }
 
 }  // namespace
