@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -189,24 +190,39 @@ BENCHMARK(BM_SingleGemmPackCache)->Arg(0)->Arg(1)->UseRealTime();
 // Amortized cost of the packing pass itself (the one-off per (GEMM,
 // strategy) work the specialized path adds before its first tile), per
 // pack path: Args({strategy id, path}) with path 0 = N/N (row copies),
-// 1 = op_a T, 2 = op_b T (transposing walks), 3 = gathered B (the staged
-// per-element path). The dims are square, so the N/N operands also serve
-// as the transposed and gathered views.
+// 1 = op_a T, 2 = op_b T (transposing walks), and three conv gathers of
+// B: 3 = a 1x1 conv over one 1 x 256 image (whole-plane runs), 4 = 3x3
+// pad 1 (stride-1 row runs around padding taps), 5 = 3x3 stride 2 pad 1
+// (strided rows). M = N = 256; K = 256, or 252 for the 3x3 convs.
 void BM_PackPanels(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));
-  const GemmDims d{256, 256, 256};
-  MicroAbFixture f(d);
-  static const char* const kPaths[] = {"N/N", "T/N", "N/T", "gather"};
+  static const char* const kPaths[] = {"N/N",          "T/N",
+                                       "N/T",          "gather 1x1",
+                                       "gather 3x3/p1", "gather 3x3/s2"};
+  // {input, images, channels, in_h, in_w, kernel, stride, pad}
+  static const ConvGather kConvs[] = {{nullptr, 1, 256, 1, 256, 1, 1, 0},
+                                      {nullptr, 1, 28, 16, 16, 3, 1, 1},
+                                      {nullptr, 1, 28, 32, 32, 3, 2, 1}};
   const int path = static_cast<int>(state.range(1));
+  GemmDims d{256, 256, 256};
+  std::optional<ConvGather> cv;
+  if (path >= 3) {
+    cv = kConvs[path - 3];
+    d.k = cv->channels * cv->kernel * cv->kernel;
+  }
+  MicroAbFixture f(d);
+  std::vector<float> input;
+  if (cv) {
+    input.resize(static_cast<std::size_t>(cv->channels) * cv->in_h *
+                 cv->in_w);
+    Rng rng(17);
+    for (float& v : input) v = rng.uniform_float(-1.0f, 1.0f);
+    cv->input = input.data();
+    f.g.b = nullptr;
+    f.g.gather = cv;
+  }
   if (path == 1) f.g.op_a = Op::kT;
   if (path == 2) f.g.op_b = Op::kT;
-  if (path == 3) {
-    const float* b = f.b.data();
-    f.g.b = nullptr;
-    f.g.b_gather = [b, n = d.n](int k, int j) {
-      return b[static_cast<std::size_t>(k) * n + j];
-    };
-  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(pack_gemm(s, f.g));
   }
@@ -215,7 +231,7 @@ void BM_PackPanels(benchmark::State& state) {
       static_cast<long long>(pack_footprint_bytes(s, d)));
   state.SetLabel(s.name() + " " + kPaths[path]);
 }
-BENCHMARK(BM_PackPanels)->ArgsProduct({{0, 5, 11}, {0, 1, 2, 3}});
+BENCHMARK(BM_PackPanels)->ArgsProduct({{0, 5, 11}, {0, 1, 2, 3, 4, 5}});
 
 void BM_ReferenceGemmBlocked(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

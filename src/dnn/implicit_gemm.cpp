@@ -22,28 +22,10 @@ GemmOperands implicit_conv_operands(const ConvShape& shape,
   g.dims = d;
   g.a = filters.data();
   g.c = out.data();
-  // The implicit B(k, j): decode k into (channel, kh, kw) and j into
-  // (image, oh, ow) with the same ordering as im2col, then read the input
-  // (or zero for padding taps). The executors call this gather concurrently
-  // from many host threads, so it must stay a pure read: the shape is
-  // captured by value and the input tensor by pointer-to-const, and the
-  // lambda body only reads through them.
-  const ConvShape s = shape;  // capture by value: plain shape data
-  const Tensor4* const in = &input;
-  const int oh = s.out_h();
-  const int ow = s.out_w();
-  g.b_gather = [s, in, oh, ow](int k, int j) -> float {
-    const int kw = k % s.kernel;
-    const int kh = (k / s.kernel) % s.kernel;
-    const int c = k / (s.kernel * s.kernel);
-    const int x = j % ow;
-    const int y = (j / ow) % oh;
-    const int n = j / (ow * oh);
-    const int iy = y * s.stride - s.pad + kh;
-    const int ix = x * s.stride - s.pad + kw;
-    if (iy < 0 || iy >= s.in_h || ix < 0 || ix >= s.in_w) return 0.0f;
-    return in->at(n, c, iy, ix);
-  };
+  // The implicit B(k, j), in im2col order (conv_gather_value).
+  g.gather = ConvGather{input.flat().data(), input.n(), shape.in_c,
+                        shape.in_h, shape.in_w, shape.kernel, shape.stride,
+                        shape.pad};
   return g;
 }
 

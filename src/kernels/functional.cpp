@@ -1,6 +1,7 @@
 #include "kernels/functional.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -371,7 +372,7 @@ void run_tile(const TilingStrategy& s, const GemmOperands& g,
 void execute_tile(const TilingStrategy& s, const GemmOperands& g, int ty,
                   int tx, float alpha, float beta) {
   CTB_CHECK(g.a != nullptr && g.c != nullptr);
-  CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
+  CTB_CHECK_MSG(g.b != nullptr || g.gather,
                 "B operand needs storage or a gather");
   CTB_CHECK(g.dims.valid());
   CTB_CHECK_MSG(ty * s.by < g.dims.m && tx * s.bx < g.dims.n,
@@ -505,6 +506,43 @@ void audit_epilogue(const GemmOperands& g, std::size_t i) {
   if (colperms > 0) audit_perm(ea.col_perm, ea.col_perm_len, d.n, "col", i);
 }
 
+/// A conv gather must produce exactly the GEMM's K x N B from a shape whose
+/// address arithmetic stays in int range; checked before any read.
+void audit_gather(const GemmOperands& g, std::size_t i) {
+  const ConvGather& cv = *g.gather;
+  CTB_CHECK_MSG(g.b == nullptr,
+                "GEMM " << i << " sets both B storage and a gather");
+  CTB_CHECK_MSG(g.op_b == Op::kN, "GEMM " << i << " gathers a transposed B");
+  CTB_CHECK_MSG(cv.input != nullptr, "GEMM " << i << " gathers a null input");
+  CTB_CHECK_MSG(cv.kernel >= 1 && cv.stride >= 1 && cv.pad >= 0,
+                "GEMM " << i << " gather has kernel " << cv.kernel
+                        << ", stride " << cv.stride << ", pad " << cv.pad);
+  CTB_CHECK_MSG(cv.images >= 1 && cv.channels >= 1 && cv.in_h >= 1 &&
+                    cv.in_w >= 1,
+                "GEMM " << i << " gather has an empty input "
+                        << cv.images << 'x' << cv.channels << 'x' << cv.in_h
+                        << 'x' << cv.in_w);
+  const long long span_h = cv.in_h + 2LL * cv.pad;
+  const long long span_w = cv.in_w + 2LL * cv.pad;
+  CTB_CHECK_MSG(span_h >= cv.kernel && span_w >= cv.kernel &&
+                    span_h <= std::numeric_limits<int>::max() &&
+                    span_w <= std::numeric_limits<int>::max(),
+                "GEMM " << i << " gather kernel " << cv.kernel
+                        << " does not fit its padded input");
+  // Each factor is below 2^31, so every product below stays in range once
+  // its smaller factor has been checked against the dims.
+  const long long taps = 1LL * cv.kernel * cv.kernel;
+  const long long plane = ((span_h - cv.kernel) / cv.stride + 1) *
+                          ((span_w - cv.kernel) / cv.stride + 1);
+  const long long k = taps <= g.dims.k ? cv.channels * taps : -1;
+  const long long n = plane <= g.dims.n ? cv.images * plane : -1;
+  CTB_CHECK_MSG(k == g.dims.k && n == g.dims.n,
+                "GEMM " << i << " gather of " << cv.channels << " channels x "
+                        << taps << " taps over " << cv.images << " images x "
+                        << plane << " pixels does not yield the "
+                        << g.dims.k << 'x' << g.dims.n << " B of its dims");
+}
+
 }  // namespace
 
 void audit_operands(std::span<const GemmOperands> batch) {
@@ -514,8 +552,9 @@ void audit_operands(std::span<const GemmOperands> batch) {
                                           << g.dims.m << 'x' << g.dims.n
                                           << 'x' << g.dims.k);
     CTB_CHECK_MSG(g.a != nullptr, "GEMM " << i << " has no A storage");
-    CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
+    CTB_CHECK_MSG(g.b != nullptr || g.gather,
                   "GEMM " << i << " needs B storage or a gather");
+    if (g.gather) audit_gather(g, i);
     CTB_CHECK_MSG(g.c != nullptr, "GEMM " << i << " has no C storage");
     audit_epilogue(g, i);
   }
@@ -541,17 +580,14 @@ void audit_plan_operands(const BatchPlan& plan,
 }
 
 void reference_gemm(const GemmOperands& g, float alpha, float beta) {
-  CTB_CHECK(g.a != nullptr && g.c != nullptr);
-  CTB_CHECK_MSG(g.b != nullptr || g.b_gather,
-                "B operand needs storage or a gather");
-  CTB_CHECK(g.dims.valid());
+  audit_operands({&g, 1});
   const auto& d = g.dims;
   auto at_a = [&](int i, int k) {
     return g.op_a == Op::kN ? g.a[static_cast<std::size_t>(i) * d.k + k]
                             : g.a[static_cast<std::size_t>(k) * d.m + i];
   };
   auto at_b = [&](int k, int j) {
-    if (g.b_gather) return g.b_gather(k, j);
+    if (g.gather) return conv_gather_value(*g.gather, k, j);
     return g.op_b == Op::kN ? g.b[static_cast<std::size_t>(k) * d.n + j]
                             : g.b[static_cast<std::size_t>(j) * d.k + k];
   };

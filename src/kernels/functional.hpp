@@ -33,7 +33,8 @@
 // way.
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,6 +43,47 @@
 #include "linalg/gemm_ref.hpp"
 
 namespace ctb {
+
+/// The implicit-GEMM convolution B operand (paper Section 7.3): logical
+/// B(k, j) of an im2col-lowered convolution, read from the NCHW `input`
+/// tensor instead of a materialized column matrix. Rows decode as
+/// k = (c * kernel + kh) * kernel + kw and columns as
+/// j = (image * out_h + oy) * out_w + ox, the im2col order; taps that fall
+/// in the padding read zero. A plain value: the executors read it from many
+/// host threads through a const GemmOperands, and audit_operands checks it
+/// against the GEMM's dims before any memory access.
+struct ConvGather {
+  const float* input = nullptr;
+  int images = 1;
+  int channels = 1;
+  int in_h = 1;
+  int in_w = 1;
+  int kernel = 1;  ///< square kernels only
+  int stride = 1;
+  int pad = 0;
+
+  int out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
+  int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
+};
+
+/// The specification of B(k, j) for a conv gather — the one per-element
+/// decode that staged_b_value and reference_gemm call. The packing pass's
+/// run-copy writer produces the same values without calling it.
+inline float conv_gather_value(const ConvGather& cv, int k, int j) {
+  const int kw = k % cv.kernel;
+  const int kh = (k / cv.kernel) % cv.kernel;
+  const int c = k / (cv.kernel * cv.kernel);
+  const int ow = cv.out_w();
+  const int oh = cv.out_h();
+  const int ox = j % ow;
+  const int oy = (j / ow) % oh;
+  const int image = j / (ow * oh);
+  const int iy = oy * cv.stride - cv.pad + kh;
+  const int ix = ox * cv.stride - cv.pad + kw;
+  if (iy < 0 || iy >= cv.in_h || ix < 0 || ix >= cv.in_w) return 0.0f;
+  const std::size_t plane = static_cast<std::size_t>(image) * cv.channels + c;
+  return cv.input[(plane * cv.in_h + iy) * cv.in_w + ix];
+}
 
 /// One GEMM's operands on the simulated device. The logical problem is
 /// C(MxN) = alpha * op(A)(MxK) * op(B)(KxN) + beta * C; all storage is
@@ -60,18 +102,11 @@ struct GemmOperands {
   /// binary16, accumulation stays FP32, and the epilogue rounds C to
   /// binary16 (storage remains float arrays holding half-exact values).
   Precision precision = Precision::kFp32;
-  /// Optional gather for logical B(k, j). When set, `b` may be null and the
-  /// staging loads call the gather instead of reading memory — this is the
-  /// implicit-GEMM convolution path (the real kernel computes the input
-  /// address from (k, j) instead of reading a materialized im2col matrix).
-  ///
-  /// THREAD SAFETY: the executors invoke the gather concurrently from many
-  /// host threads (one per in-flight block), always through a const
-  /// GemmOperands. The callable must therefore be a pure function of
-  /// (k, j): it may read captured state but must not mutate it or any other
-  /// shared state. implicit_conv_operands satisfies this by capturing the
-  /// shape by value and the input tensor by const pointer.
-  std::function<float(int k, int j)> b_gather;
+  /// Optional implicit-GEMM gather for logical B(k, j). When set, `b` must
+  /// be null and the staging loads read B from the conv input instead of a
+  /// materialized im2col matrix (implicit_conv_operands fills it). A
+  /// gathered B is op N: the descriptor fixes its layout.
+  std::optional<ConvGather> gather;
   /// Packed fused-epilogue chain (epilogue.hpp), applied inside the tile
   /// store — after the tile's full K chain, split-K included — instead of a
   /// separate elementwise pass over C. 0 = none (the plain store).
@@ -86,7 +121,9 @@ struct GemmOperands {
 /// Executes one C tile (ty, tx) of `g` under `strategy` through the generic
 /// path: stages A/B tiles through an emulated shared memory, accumulates
 /// per-thread register sub-tiles over the whole K loop, then applies the
-/// alpha/beta store (and any fused epilogue) with boundary guards.
+/// alpha/beta store (and any fused epilogue) with boundary guards. `g`
+/// must already have passed audit_operands: a conv gather's descriptor is
+/// not re-checked here.
 void execute_tile(const TilingStrategy& strategy, const GemmOperands& g,
                   int ty, int tx, float alpha, float beta);
 
@@ -103,7 +140,9 @@ void run_vbatch(const TilingStrategy& strategy,
                 std::span<const GemmOperands> batch, float alpha, float beta);
 
 /// Audits the operand array alone: every GEMM has valid dims, an A pointer,
-/// a B pointer or gather, and a C pointer; any fused-epilogue spec is a
+/// a C pointer and exactly one of a B pointer and a conv gather; a gather
+/// has a non-null input, kernel and stride >= 1, pad >= 0, op_b N, and a
+/// shape whose B is exactly the GEMM's K x N. Any fused-epilogue spec is a
 /// canonical chain whose operands are present with the right extents
 /// (bias_len == m, residual m x n, permutations bijective on their axis,
 /// at most one permutation per axis). Throws CheckError naming the
@@ -124,7 +163,9 @@ void audit_plan_operands(const BatchPlan& plan,
 /// epilogue as gemm_naive / gemm_naive_fp16, so its C output is
 /// bit-identical to the host oracles; any fused-epilogue chain on `g` is
 /// applied per element with exactly the executor semantics (epilogue.hpp),
-/// so fused executor output is bit-identical to this reference too.
+/// so fused executor output is bit-identical to this reference too. Runs
+/// audit_operands on `g` first, so a malformed gather or epilogue throws
+/// CheckError before any read.
 void reference_gemm(const GemmOperands& g, float alpha, float beta);
 
 /// Fig. 7: persistent-threads batched kernel driven by the plan's aux

@@ -53,7 +53,7 @@ CacheState& state() {
   return *s;
 }
 
-bool cacheable(const GemmOperands& g) { return !g.b_gather; }
+bool cacheable(const GemmOperands& g) { return !g.gather; }
 
 CacheKey key_of(const TilingStrategy& s, const GemmOperands& g) {
   CacheKey k;

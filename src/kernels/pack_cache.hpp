@@ -18,8 +18,8 @@
 // repacks. The probe is best-effort, not exhaustive: a mutation that leaves
 // every probed sample bit-identical goes undetected, which is why the cache
 // defaults to OFF and the explicit-invalidate contract is the guarantee.
-// Gather GEMMs (b_gather) are never cached: the callable's identity is
-// unobservable.
+// Gather GEMMs (a ConvGather B) are never cached: the key names B by its
+// storage pointer, which a gather leaves null.
 //
 // Budget: resident bytes are charged against the same pack arena the
 // per-call packing pass uses (pack_arena_budget); inserting past the budget
@@ -58,7 +58,7 @@ std::uint64_t pack_cache_generation();
 /// Cached panels for (s, g), or nullptr on miss. A hit revalidates via the
 /// staleness probe; counts exec.pack.cache.{hit,miss,stale}. Returns nullptr
 /// without counting anything when the cache is disabled or `g` is uncacheable
-/// (b_gather).
+/// (a ConvGather B).
 std::shared_ptr<const PackedGemm> pack_cache_lookup(const TilingStrategy& s,
                                                     const GemmOperands& g);
 

@@ -8,21 +8,23 @@
 // panel a sequence of K-step blocks in precisely the layout the emulated
 // shared memory uses (A block `a[i * BK + p]`, B block `b[p * BX + j]`,
 // zero-padded past the matrix edges, values rounded through binary16 on the
-// fp16 path, `b_gather` materialized). The K loops of the packed tile
+// fp16 path, a conv gather's B materialized). The K loops of the packed tile
 // paths (the SIMD tile loops and the scalar packed loop) then read
 // branch-free contiguous memory.
 //
 // Bit-exactness: `staged_a_value` / `staged_b_value` are the specification
 // of staged operand values — the generic executor's SharedTiles staging
-// calls them, and so does the packing pass for fp16 operands and gathered
-// B. fp32 operands read from storage take bulk paths that produce the same
-// bytes: op N blocks copy each panel row as one contiguous run, op T
-// blocks walk the source contiguously and scatter into the block, and the
-// ragged remainder is written as zeros. Since fp32 staging is a plain copy,
-// a packed panel block is byte-identical to the tile the generic path
-// would have staged either way, and the FMA chains downstream see
-// identical inputs (microkernel_test pins this across every strategy, op,
-// precision and gather combination).
+// calls them, and so does the packing pass for fp16 operands. fp32
+// operands take bulk paths that produce the same bytes: op N blocks copy
+// each panel row as one contiguous run, op T blocks walk the source
+// contiguously and scatter into the block, a conv gather's B copies the input in runs with its padding taps
+// written as zeros (one run per image for an unpadded stride-1 1x1 conv,
+// one per output row otherwise),
+// and the ragged remainder is written as zeros.
+// Since fp32 staging is a plain copy, a packed panel block is
+// byte-identical to the tile the generic path would have staged either
+// way, and the FMA chains downstream see identical inputs (microkernel_test
+// pins this across every strategy, op, precision and conv gather shape).
 //
 // Every element of every panel block, padding included, is written by
 // exactly one of those paths. The panel buffers rely on that: they are
@@ -62,13 +64,14 @@ inline float staged_a_value(const GemmOperands& g, int gi, int gk) {
 }
 
 /// The exact staged value for logical B(gk, gj): zero past the K/N edge,
-/// transpose resolved or the implicit-GEMM gather invoked, fp16-rounded.
+/// transpose resolved or the conv gather read (conv_gather_value),
+/// fp16-rounded.
 inline float staged_b_value(const GemmOperands& g, int gk, int gj) {
   const auto& d = g.dims;
   float v = 0.0f;
   if (gk < d.k && gj < d.n) {
-    if (g.b_gather) {
-      v = g.b_gather(gk, gj);
+    if (g.gather) {
+      v = conv_gather_value(*g.gather, gk, gj);
     } else {
       v = g.op_b == Op::kN ? g.b[static_cast<std::size_t>(gk) * d.n + gj]
                            : g.b[static_cast<std::size_t>(gj) * d.k + gk];
@@ -134,11 +137,13 @@ struct PackedGemm {
 /// against the pack-arena budget before committing to a pack.
 std::size_t pack_footprint_bytes(const TilingStrategy& s, const GemmDims& d);
 
-/// Packs all A and B panels of `g` for `s`: bulk copies for fp32 operands
-/// read from storage, `staged_a_value` / `staged_b_value` per element for
-/// fp16 and for gathered B; the bytes are the same either way. Counts
+/// Packs all A and B panels of `g` for `s`: bulk copies, transposes and
+/// conv-gather runs for fp32 operands, `staged_a_value` / `staged_b_value`
+/// per element for fp16; the bytes are the same either way. Counts
 /// `exec.pack.panels` and `exec.pack.bytes`. Safe to call from inside a
 /// parallel_for worker (it only reads `g` and writes its own buffers).
+/// `g` must already have passed audit_operands: a conv gather's descriptor
+/// is not re-checked here.
 PackedGemm pack_gemm(const TilingStrategy& s, const GemmOperands& g);
 
 /// Executes C tile (ty, tx) of `g` from panels `pk` packed for `s`: a

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -448,6 +450,91 @@ TEST(FaultInjection, SingleAndVbatchRejectMalformedEpilogueOperands) {
         EXPECT_THROW(run_vbatch(s, ws.ops, 1.0f, 0.0f), CheckError);
       EXPECT_TRUE(ws.c_untouched()) << entry << ": non-bijective rows";
     }
+  }
+}
+
+// A conv-gathered B is audited as a descriptor: every mis-shaped, null or
+// ill-formed gather, and an operand that sets both B storage and a gather,
+// is rejected by run_batched_plan, run_vbatch and reference_gemm before
+// any element is read or written. The conv input is sized exactly, so a gather that
+// slipped through and read past it is an ASan report in CI.
+TEST(FaultInjection, ConvGatherFaultsRejectedBeforeMemoryAccess) {
+  // {input, images, channels, in_h, in_w, kernel, stride, pad}: 2 images of
+  // 3 x 6 x 5, 3x3 taps, pad 1 -> K = 27, N = 2 * 6 * 5 = 60.
+  const ConvGather healthy{nullptr, 2, 3, 6, 5, 3, 1, 1};
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const std::vector<GemmDims> dims = {{20, 60, 27}};
+  PlannerConfig config;
+  config.policy = BatchingPolicy::kThresholdOnly;
+  const BatchPlan plan = BatchedGemmPlanner(config).plan(dims).plan;
+  const TilingStrategy& s =
+      batched_strategy(TileShape::kSmall, ThreadVariant::k128);
+  Rng rng(67);
+  std::vector<float> input(st(2 * 3 * 6 * 5));
+  for (float& v : input) v = rng.uniform_float(-1.0f, 1.0f);
+  const Matrixf stored_b = rand_mat(27, 60, rng);
+
+  const std::vector<std::pair<const char*, std::function<void(GemmOperands&)>>>
+      faults = {
+          {"K != channels * kernel^2",
+           [](GemmOperands& g) { g.gather->channels += 1; }},
+          {"kernel grows K past dims",
+           [](GemmOperands& g) { g.gather->kernel = 4; }},
+          {"N != images * out_h * out_w",
+           [](GemmOperands& g) { g.gather->images += 1; }},
+          {"taller input changes N",
+           [](GemmOperands& g) { g.gather->in_h += 1; }},
+          {"null input", [](GemmOperands& g) { g.gather->input = nullptr; }},
+          {"stride 0", [](GemmOperands& g) { g.gather->stride = 0; }},
+          {"stride -1", [](GemmOperands& g) { g.gather->stride = -1; }},
+          {"kernel 0", [](GemmOperands& g) { g.gather->kernel = 0; }},
+          {"negative pad", [](GemmOperands& g) { g.gather->pad = -1; }},
+          {"padded input past int range",
+           [](GemmOperands& g) { g.gather->pad = kIntMax / 2; }},
+          {"images x pixels past 64 bits",
+           [](GemmOperands& g) {
+             g.gather->images = kIntMax;
+             g.gather->in_h = g.gather->in_w = kIntMax - 2;
+           }},
+          {"channels x taps past 64 bits",
+           [](GemmOperands& g) {
+             g.gather->channels = kIntMax;
+             g.gather->kernel = g.gather->in_h = g.gather->in_w = 1 << 30;
+           }},
+          {"both B storage and a gather",
+           [&](GemmOperands& g) { g.b = stored_b.data(); }},
+          {"transposed gathered B",
+           [](GemmOperands& g) { g.op_b = Op::kT; }},
+      };
+
+  auto fresh = [&] {
+    Workspace ws(dims, 71);
+    ws.ops[0].b = nullptr;
+    ws.ops[0].gather = healthy;
+    ws.ops[0].gather->input = input.data();
+    return ws;
+  };
+  {  // Baseline sanity: the healthy gather executes on every entry point.
+    Workspace ws = fresh();
+    run_batched_plan(plan, ws.ops, 1.0f, 0.0f);
+    EXPECT_FALSE(ws.c_untouched());
+    Workspace ws2 = fresh();
+    run_vbatch(s, ws2.ops, 1.0f, 0.0f);
+    EXPECT_FALSE(ws2.c_untouched());
+    Workspace ws3 = fresh();
+    reference_gemm(ws3.ops[0], 1.0f, 0.0f);
+    EXPECT_FALSE(ws3.c_untouched());
+  }
+  for (const auto& [what, apply] : faults) {
+    Workspace ws = fresh();
+    apply(ws.ops[0]);
+    EXPECT_THROW(run_batched_plan(plan, ws.ops, 1.0f, 0.0f), CheckError)
+        << what;
+    EXPECT_THROW(run_vbatch(s, ws.ops, 1.0f, 0.0f), CheckError) << what;
+    // The reference runs the same audit: stride 0 would otherwise divide
+    // by zero in conv_gather_value.
+    EXPECT_THROW(reference_gemm(ws.ops[0], 1.0f, 0.0f), CheckError) << what;
+    EXPECT_TRUE(ws.c_untouched()) << what;
   }
 }
 

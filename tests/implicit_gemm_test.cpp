@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dnn/im2col.hpp"
 #include "dnn/implicit_gemm.hpp"
+#include "kernels/packing.hpp"
 
 namespace ctb {
 namespace {
@@ -31,10 +35,11 @@ TEST(ImplicitGemm, GatherMatchesIm2col) {
   const GemmDims d = s.gemm_dims(2);
   Matrixf out(static_cast<std::size_t>(d.m), static_cast<std::size_t>(d.n));
   const GemmOperands g = implicit_conv_operands(s, input, filters, out);
-  ASSERT_TRUE(static_cast<bool>(g.b_gather));
+  ASSERT_TRUE(g.gather.has_value());
+  EXPECT_EQ(g.b, nullptr);
   for (int k = 0; k < d.k; ++k)
     for (int j = 0; j < d.n; ++j)
-      ASSERT_EQ(g.b_gather(k, j),
+      ASSERT_EQ(conv_gather_value(*g.gather, k, j),
                 cols(static_cast<std::size_t>(k), static_cast<std::size_t>(j)))
           << "k=" << k << " j=" << j;
 }
@@ -66,6 +71,52 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{4, 6, 5, 1, 2, 9, 2},
                       ConvCase{2, 4, 3, 2, 1, 12, 1},
                       ConvCase{8, 16, 1, 1, 0, 7, 3}));
+
+// The implicit path packs (or stages) B from the conv input; the explicit
+// path runs the same executor on the materialized im2col matrix. Under one
+// strategy both must produce the same C bit for bit, packed and through the
+// generic staging (budget 0), for kernels 1/3/5, strides 1/2, pads 0/1/2
+// and 1-3 images. The 16- and 32-wide tiles put N tile edges inside output
+// rows and across image boundaries.
+TEST(ImplicitGemm, ExecutorMatchesIm2colBitwise) {
+  const ConvCase cases[] = {{6, 10, 1, 1, 0, 7, 3}, {3, 9, 3, 1, 1, 9, 2},
+                            {4, 7, 5, 1, 2, 8, 1},  {5, 6, 3, 2, 1, 11, 3},
+                            {2, 5, 5, 2, 2, 13, 2}, {3, 4, 1, 2, 0, 9, 2},
+                            {4, 6, 3, 2, 0, 10, 1}, {3, 5, 3, 1, 0, 10, 2}};
+  for (const ConvCase& p : cases) {
+    const ConvShape shape =
+        mk_conv(p.in_c, p.out_c, p.kernel, p.stride, p.pad, p.hw);
+    Rng rng(static_cast<std::uint64_t>(p.in_c * 17 + p.kernel * 5 + p.pad));
+    Tensor4 input(p.batch, p.in_c, p.hw, p.hw);
+    fill_random(input, rng);
+    const Matrixf filters = random_filters(shape, rng);
+    const Matrixf cols = im2col(shape, input);
+    const GemmDims d = shape.gemm_dims(p.batch);
+    for (int id : {0, 3, 5, 10}) {
+      const TilingStrategy& s = batched_strategy_by_id(id);
+      for (std::size_t budget : {pack_arena_budget(), std::size_t{0}}) {
+        ScopedPackArenaBudget scope(budget);
+        Matrixf implicit_c(static_cast<std::size_t>(d.m),
+                           static_cast<std::size_t>(d.n));
+        Matrixf explicit_c(static_cast<std::size_t>(d.m),
+                           static_cast<std::size_t>(d.n));
+        run_single_gemm(
+            s, implicit_conv_operands(shape, input, filters, implicit_c),
+            1.0f, 0.0f);
+        run_single_gemm(s, operands(filters, cols, explicit_c), 1.0f, 0.0f);
+        const auto got = implicit_c.flat();
+        const auto want = explicit_c.flat();
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                    std::bit_cast<std::uint32_t>(want[i]))
+              << "conv in_c=" << p.in_c << " k" << p.kernel << " s"
+              << p.stride << " p" << p.pad << " images=" << p.batch << " on "
+              << s.name() << (budget == 0 ? " generic" : " packed")
+              << " diverges at flat index " << i;
+      }
+    }
+  }
+}
 
 TEST(ImplicitGemm, BatchedBranchesMatchDirectConv) {
   // Batch the four stage-1 branches of a mini inception module implicitly.

@@ -63,16 +63,15 @@ struct GemmCase {
     ops = operands(a, b, c, op_a, op_b);
     ops.precision = prec;
     if (gather) {
-      // Implicit-GEMM style: B values come from a pure function of (k, j)
-      // instead of materialized storage.
-      const float* data = b.data();
-      const int n = d.n;
+      // Implicit-GEMM style: the same B values read through a conv gather.
+      // Stored K x N B is a 1x1 conv of K channels over one 1 x N image;
+      // stored N x K B is N images of K channels at 1 x 1.
       ops.b = nullptr;
-      ops.b_gather = [data, n, op_b, k = d.k](int kk, int j) {
-        return op_b == Op::kN
-                   ? data[static_cast<std::size_t>(kk) * n + j]
-                   : data[static_cast<std::size_t>(j) * k + kk];
-      };
+      ops.op_b = Op::kN;
+      ops.gather =
+          op_b == Op::kN
+              ? ConvGather{.input = b.data(), .channels = d.k, .in_w = d.n}
+              : ConvGather{.input = b.data(), .images = d.n, .channels = d.k};
     }
   }
 };
@@ -115,65 +114,125 @@ void poison_heap(std::size_t a_floats, std::size_t b_floats) {
   delete[] a;
 }
 
+// A conv-gathered GEMM owning its storage: B is `cv` over a random input
+// tensor, so K and N follow from the conv shape.
+struct ConvGemmCase {
+  std::vector<float> input;
+  Matrixf a, c;
+  GemmOperands ops;
+
+  ConvGemmCase(ConvGather cv, int m, Op op_a, Precision prec,
+               std::uint64_t seed) {
+    Rng rng(seed);
+    input.resize(static_cast<std::size_t>(cv.images) * cv.channels *
+                 cv.in_h * cv.in_w);
+    for (float& v : input) v = rng.uniform_float(-1.0f, 1.0f);
+    cv.input = input.data();
+    const GemmDims d{m, cv.images * cv.out_h() * cv.out_w(),
+                     cv.channels * cv.kernel * cv.kernel};
+    a = op_a == Op::kN ? rand_mat(d.m, d.k, rng) : rand_mat(d.k, d.m, rng);
+    c = rand_mat(d.m, d.n, rng);
+    ops.a = a.data();
+    ops.c = c.data();
+    ops.dims = d;
+    ops.op_a = op_a;
+    ops.precision = prec;
+    ops.gather = cv;
+  }
+};
+
+// Conv gathers whose K and N are ragged against every Table-2 tile: each
+// B block writer path (whole-plane runs, stride-1 row runs with padding
+// taps, strided rows, taps wholly in the padding), with N tile edges that
+// cross output rows and images.
+std::vector<ConvGather> conv_gathers() {
+  // {input, images, channels, in_h, in_w, kernel, stride, pad}
+  return {{nullptr, 3, 5, 6, 5, 1, 1, 0},  {nullptr, 2, 3, 7, 9, 3, 1, 1},
+          {nullptr, 3, 2, 11, 6, 5, 2, 2}, {nullptr, 2, 4, 9, 8, 3, 2, 0},
+          {nullptr, 1, 3, 5, 5, 3, 1, 2},  {nullptr, 2, 2, 7, 7, 1, 2, 0},
+          {nullptr, 2, 2, 1, 2, 5, 1, 2}};
+}
+
 std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 
+// Packs `g` for `s` over a poisoned heap and compares every panel element,
+// padding included, bitwise against the staged value.
+void expect_panels_match_staged(const TilingStrategy& s,
+                                const GemmOperands& g,
+                                const std::string& what) {
+  const GemmDims& d = g.dims;
+  const std::size_t steps = (d.k + s.bk - 1) / s.bk;
+  poison_heap((d.m + s.by - 1) / s.by * steps * s.by * s.bk,
+              (d.n + s.bx - 1) / s.bx * steps * s.bk * s.bx);
+  const PackedGemm pk = pack_gemm(s, g);
+  ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by) << what;
+  ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx) << what;
+  ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk) << what;
+  for (int ty = 0; ty < pk.ty_count; ++ty) {
+    const float* panel = pk.a_panel(ty);
+    for (int step = 0; step < pk.nsteps; ++step)
+      for (int i = 0; i < s.by; ++i)
+        for (int p = 0; p < s.bk; ++p) {
+          const float got = panel[(step * s.by + i) * s.bk + p];
+          const float want =
+              staged_a_value(g, ty * s.by + i, step * s.bk + p);
+          if (bits(got) != bits(want))
+            FAIL() << what << ": A panel " << ty << " step " << step << " ("
+                   << i << ", " << p << ") holds " << got << ", staged "
+                   << want;
+        }
+  }
+  for (int tx = 0; tx < pk.tx_count; ++tx) {
+    const float* panel = pk.b_panel(tx);
+    for (int step = 0; step < pk.nsteps; ++step)
+      for (int p = 0; p < s.bk; ++p)
+        for (int j = 0; j < s.bx; ++j) {
+          const float got = panel[(step * s.bk + p) * s.bx + j];
+          const float want =
+              staged_b_value(g, step * s.bk + p, tx * s.bx + j);
+          if (bits(got) != bits(want))
+            FAIL() << what << ": B panel " << tx << " step " << step << " ("
+                   << p << ", " << j << ") holds " << got << ", staged "
+                   << want;
+        }
+  }
+}
+
 // The packed panel blocks must hold exactly the values the guarded staging
-// produces — including the zero padding past M/N/K edges, fp16 rounding and
-// the gather — bit for bit, on both the bulk fp32 paths and the staged
-// per-element path.
+// produces — including the zero padding past M/N/K edges, fp16 rounding,
+// the conv gather's padding taps and the transposes — bit for bit, on both
+// the bulk fp32 paths and the staged per-element path.
 TEST(Packing, PanelsReproduceStagedValuesIncludingPadding) {
   for (int id = 0; id < 12; ++id) {
     const TilingStrategy& s = batched_strategy_by_id(id);
     const GemmDims exact{2 * s.by, 2 * s.bx, 2 * s.bk};
-    for (const GemmDims& d : {ragged_dims(s), exact}) {
-      for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
-        for (Op op_a : {Op::kN, Op::kT}) {
+    for (Precision prec : {Precision::kFp32, Precision::kFp16}) {
+      const std::string tag =
+          s.name() + (prec == Precision::kFp16 ? " fp16" : " fp32");
+      for (Op op_a : {Op::kN, Op::kT}) {
+        for (const GemmDims& d : {ragged_dims(s), exact}) {
           for (Op op_b : {Op::kN, Op::kT}) {
             for (bool gather : {false, true}) {
               const GemmCase gc(d, op_a, op_b, prec, gather, 77 + id);
-              const std::string what =
-                  s.name() + " " + std::to_string(d.m) + "x" +
-                  std::to_string(d.n) + "x" + std::to_string(d.k) +
-                  (prec == Precision::kFp16 ? " fp16" : " fp32") +
-                  " op_a=" + to_string(op_a) + " op_b=" + to_string(op_b) +
-                  (gather ? " gather" : "");
-              const std::size_t steps = (d.k + s.bk - 1) / s.bk;
-              poison_heap((d.m + s.by - 1) / s.by * steps * s.by * s.bk,
-                          (d.n + s.bx - 1) / s.bx * steps * s.bk * s.bx);
-              const PackedGemm pk = pack_gemm(s, gc.ops);
-              ASSERT_EQ(pk.ty_count, (d.m + s.by - 1) / s.by) << what;
-              ASSERT_EQ(pk.tx_count, (d.n + s.bx - 1) / s.bx) << what;
-              ASSERT_EQ(pk.nsteps, (d.k + s.bk - 1) / s.bk) << what;
-              for (int ty = 0; ty < pk.ty_count; ++ty) {
-                const float* panel = pk.a_panel(ty);
-                for (int step = 0; step < pk.nsteps; ++step)
-                  for (int i = 0; i < s.by; ++i)
-                    for (int p = 0; p < s.bk; ++p) {
-                      const float got = panel[(step * s.by + i) * s.bk + p];
-                      const float want = staged_a_value(
-                          gc.ops, ty * s.by + i, step * s.bk + p);
-                      if (bits(got) != bits(want))
-                        FAIL() << what << ": A panel " << ty << " step "
-                               << step << " (" << i << ", " << p << ") holds "
-                               << got << ", staged " << want;
-                    }
-              }
-              for (int tx = 0; tx < pk.tx_count; ++tx) {
-                const float* panel = pk.b_panel(tx);
-                for (int step = 0; step < pk.nsteps; ++step)
-                  for (int p = 0; p < s.bk; ++p)
-                    for (int j = 0; j < s.bx; ++j) {
-                      const float got = panel[(step * s.bk + p) * s.bx + j];
-                      const float want = staged_b_value(
-                          gc.ops, step * s.bk + p, tx * s.bx + j);
-                      if (bits(got) != bits(want))
-                        FAIL() << what << ": B panel " << tx << " step "
-                               << step << " (" << p << ", " << j << ") holds "
-                               << got << ", staged " << want;
-                    }
-              }
+              expect_panels_match_staged(
+                  s, gc.ops,
+                  tag + " " + std::to_string(d.m) + "x" +
+                      std::to_string(d.n) + "x" + std::to_string(d.k) +
+                      " op_a=" + to_string(op_a) + " op_b=" +
+                      to_string(op_b) + (gather ? " dense gather" : ""));
             }
           }
+        }
+        for (const ConvGather& cv : conv_gathers()) {
+          const ConvGemmCase cc(cv, 2 * s.by + 3, op_a, prec, 88 + id);
+          expect_panels_match_staged(
+              s, cc.ops,
+              tag + " op_a=" + to_string(op_a) + " conv " +
+                  std::to_string(cv.images) + "x" +
+                  std::to_string(cv.channels) + "x" +
+                  std::to_string(cv.in_h) + "x" + std::to_string(cv.in_w) +
+                  " k" + std::to_string(cv.kernel) + " s" +
+                  std::to_string(cv.stride) + " p" + std::to_string(cv.pad));
         }
       }
     }

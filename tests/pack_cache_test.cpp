@@ -89,11 +89,9 @@ TEST(PackCache, GatherOperandsAreNeverCached) {
   ScopedPackCache scope;
   const TilingStrategy& s = batched_strategy_by_id(5);
   GemmCase gc({64, 64, 32}, 4);
-  const float* data = gc.b.data();
+  gc.ops.gather =
+      ConvGather{.input = gc.b.data(), .channels = 32, .in_w = 64};
   gc.ops.b = nullptr;
-  gc.ops.b_gather = [data](int k, int j) {
-    return data[static_cast<std::size_t>(k) * 64 + j];
-  };
   pack_cache_insert(s, gc.ops,
                     std::make_shared<PackedGemm>(pack_gemm(s, gc.ops)));
   EXPECT_EQ(pack_cache_entries(), 0u);

@@ -128,9 +128,10 @@ CaseStorage materialize(const PropertyCase& pc) {
         operands(cs.a[i], cs.b[i], cs.c[i], pc.op_a[i], pc.op_b[i]);
     g.precision = pc.precision;
     if (pc.gather_b[i]) {
-      const float* data = cs.b[i].flat().data();
-      const int n = pc.dims[i].n;
-      g.b_gather = [data, n](int k, int j) { return data[k * n + j]; };
+      // B as a 1x1 conv of K channels over a 1 x N image: the same values.
+      g.gather = ConvGather{.input = cs.b[i].flat().data(),
+                            .channels = pc.dims[i].k,
+                            .in_w = pc.dims[i].n};
       g.b = nullptr;
     }
     cs.ops.push_back(std::move(g));

@@ -193,8 +193,8 @@ TEST(SplitKBatchedPlan, TransposeVariantsBitExact) {
               " op_b=" + to_string(op_b));
 }
 
-// The gather (implicit-GEMM) path: B is a callable, so a split coordinate's
-// chain reads the gather, not a pointer, at every K step.
+// The gather (implicit-GEMM) path: B is a conv gather, so a split
+// coordinate's chain reads the conv input, not a B matrix, at every K step.
 TEST(SplitKBatchedPlan, GatherPathBitExact) {
   ConvShape shape;
   shape.name = "splitk_conv";
