@@ -4,6 +4,7 @@
 // negligible — "7-8 comparisons on average").
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -17,7 +18,9 @@
 #include "kernels/packing.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/work_builder.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -65,6 +68,42 @@ void BM_SimulateKernel(benchmark::State& state) {
   state.SetLabel(std::to_string(work.blocks.size()) + " blocks");
 }
 BENCHMARK(BM_SimulateKernel)->Arg(16)->Arg(256);
+
+// The plan-service miss path: the default planner (V100, auto-offline,
+// split-K auto) over a fixed serve_churn-shaped request list (1-6 GEMMs,
+// every dimension log-uniform in [8, 256]). One iteration plans the next
+// request of the list, so the time column is the time per plan;
+// sims_per_plan is the sim.kernels telemetry counter over one extra pass
+// (0 when telemetry is compiled out).
+void BM_PlanAutoOffline(benchmark::State& state) {
+  Rng rng(1);
+  auto dim = [&] {
+    const double l =
+        std::log(8.0) + rng.uniform() * (std::log(256.0) - std::log(8.0));
+    return static_cast<int>(std::lround(std::exp(l)));
+  };
+  std::vector<std::vector<GemmDims>> batches(64);
+  for (auto& dims : batches) {
+    dims.resize(static_cast<std::size_t>(rng.uniform_int(1, 6)));
+    for (GemmDims& d : dims) d = GemmDims{dim(), dim(), dim()};
+  }
+  const BatchedGemmPlanner planner{PlannerConfig{}};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner.plan(batches[next]));
+    next = (next + 1) % batches.size();
+  }
+
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const std::int64_t before = telemetry::counter("sim.kernels").value();
+  for (const auto& dims : batches) benchmark::DoNotOptimize(planner.plan(dims));
+  const std::int64_t sims = telemetry::counter("sim.kernels").value() - before;
+  telemetry::set_enabled(was_enabled);
+  state.counters["sims_per_plan"] =
+      static_cast<double>(sims) / static_cast<double>(batches.size());
+}
+BENCHMARK(BM_PlanAutoOffline);
 
 void BM_FunctionalTileGemm(benchmark::State& state) {
   const auto& s = batched_strategy_by_id(static_cast<int>(state.range(0)));

@@ -112,12 +112,17 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims) const {
       // Fixed-shape workloads (e.g. DNN training steps) can afford to try
       // both heuristics once and keep the winner (paper Section 5).
       CTB_TEL_SPAN("plan.auto_offline");
+      // The heuristic is chosen at FP32 whatever the execution precision:
+      // the strategy tables are the paper's FP32 suite.
       const BatchPlan thr =
           batch_threshold(tiles, threads, batching_config);
       const BatchPlan bin = batch_binary(tiles, threads, batching_config);
       const double t_thr =
-          time_plan(arch_, thr, dims).time_us;
-      const double t_bin = time_plan(arch_, bin, dims).time_us;
+          time_plan(arch_, thr, dims, Precision::kFp32).time_us;
+      // Identical plans time identically, and the tie keeps threshold.
+      const double t_bin =
+          bin == thr ? t_thr
+                     : time_plan(arch_, bin, dims, Precision::kFp32).time_us;
       summary.heuristic = t_thr <= t_bin ? BatchingHeuristic::kThreshold
                                          : BatchingHeuristic::kBinary;
       if (t_thr <= t_bin)
@@ -128,7 +133,13 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims) const {
       CTB_DEBUG("auto-offline: threshold=" << t_thr << "us binary=" << t_bin
                                            << "us -> "
                                            << to_string(summary.heuristic));
-      consider_splitk(summary, tiles, threads, batching_config, dims);
+      // The split-K sweep times at config_.precision; the winner's time
+      // stands in for its unsplit time only when the precisions agree.
+      std::optional<double> winner_us;
+      if (config_.precision == Precision::kFp32)
+        winner_us = std::min(t_thr, t_bin);
+      consider_splitk(summary, tiles, threads, batching_config, dims,
+                      winner_us);
       CTB_TEL_FLIGHT(kPlanDecision, to_string(summary.heuristic),
                      summary.plan.num_blocks(), summary.plan.num_tiles());
       return summary;
@@ -165,7 +176,8 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims,
 void BatchedGemmPlanner::consider_splitk(
     PlanSummary& summary, std::span<const Tile> tiles, int threads,
     const BatchingConfig& batching_config,
-    std::span<const GemmDims> dims) const {
+    std::span<const GemmDims> dims,
+    std::optional<double> unsplit_time_us) const {
   if (config_.splitk == SplitKMode::kOff || config_.max_splitk < 2) return;
   // TLP-scarcity trigger: a plan already launching at least half the TLP
   // threshold's worth of threads fills the machine, so extra split-K blocks
@@ -179,7 +191,9 @@ void BatchedGemmPlanner::consider_splitk(
     return;
   CTB_TEL_SPAN("plan.splitk.consider");
   const double unsplit_us =
-      time_plan(arch_, summary.plan, dims, config_.precision).time_us;
+      unsplit_time_us
+          ? *unsplit_time_us
+          : time_plan(arch_, summary.plan, dims, config_.precision).time_us;
   BatchPlan best_split;
   double best_split_us = 0.0;
   std::size_t last_size = tiles.size();

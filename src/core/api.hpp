@@ -11,6 +11,7 @@
 // or the one-call convenience `batched_gemm(...)` over host matrices.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,8 +65,10 @@ struct PlannerConfig {
   BatchingPolicy policy = BatchingPolicy::kAutoOffline;
   /// Required when policy == kRandomForest.
   const RandomForest* forest = nullptr;
-  /// Execution precision (kFp16 = tensor-core semantics; planning itself is
-  /// precision-independent, the strategy tables are the paper's FP32 suite).
+  /// Execution precision (kFp16 = tensor-core semantics). Tiling and the
+  /// kAutoOffline heuristic choice are made at FP32 (the strategy tables
+  /// are the paper's FP32 suite); the split-K sweep times its candidates at
+  /// this precision, so split decisions depend on it.
   Precision precision = Precision::kFp32;
   /// Split-K scheduling axis: when a batch's tiles cannot fill the machine,
   /// each tile's K loop may be partitioned into BK-aligned slices executed
@@ -123,9 +126,12 @@ class BatchedGemmPlanner {
   /// power-of-two slice counts over the enumerated tiles, batches each
   /// candidate with the already-chosen heuristic, and replaces summary.plan
   /// when the simulator prefers a split plan (always, under kForce).
+  /// `unsplit_time_us`, when given, is time_plan of summary.plan at
+  /// config_.precision, already computed by the caller.
   void consider_splitk(PlanSummary& summary, std::span<const Tile> tiles,
                        int threads, const BatchingConfig& batching_config,
-                       std::span<const GemmDims> dims) const;
+                       std::span<const GemmDims> dims,
+                       std::optional<double> unsplit_time_us = {}) const;
 
   PlannerConfig config_;
   GpuArch arch_;

@@ -65,6 +65,8 @@ struct BatchPlan {
   int smem_bytes = 0;
   int regs_per_thread = 0;
 
+  bool operator==(const BatchPlan&) const = default;
+
   int num_blocks() const {
     return static_cast<int>(tile_offsets.empty() ? 0
                                                  : tile_offsets.size() - 1);

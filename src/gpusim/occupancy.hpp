@@ -10,6 +10,8 @@ struct BlockResources {
   int threads = 256;
   int regs_per_thread = 32;
   int smem_bytes = 0;
+
+  bool operator==(const BlockResources&) const = default;
 };
 
 struct OccupancyResult {

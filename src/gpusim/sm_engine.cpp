@@ -1,6 +1,8 @@
 #include "gpusim/sm_engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
 #include <tuple>
 
@@ -41,6 +43,71 @@ struct SmState {
   }
 };
 
+// One index-ordered SM bitset per resident-block count. Scanning counts
+// upward and, within a count, SM indices upward visits SMs in exactly the
+// (fewest blocks, lowest index) order of a linear least-loaded scan, so the
+// first SM that fits is the one that scan would pick. SMs at the block-slot
+// limit never fit and are not scanned.
+class SmBuckets {
+ public:
+  SmBuckets(int sm_count, int max_blocks)
+      : words_((sm_count + 63) / 64),
+        max_blocks_(max_blocks),
+        bits_(static_cast<std::size_t>(max_blocks + 1) * words_, 0) {
+    for (int s = 0; s < sm_count; ++s) set(0, s);
+  }
+
+  void move(int sm, int from, int to) {
+    word(from, sm) &= ~bit(sm);
+    set(to, sm);
+  }
+
+  /// First SM, in (count, index) order, for which fits(sm) holds; -1 if none.
+  template <typename Fits>
+  int first(Fits&& fits) const {
+    for (int c = 0; c < max_blocks_; ++c) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        for (std::uint64_t m = bits_[static_cast<std::size_t>(c) * words_ + w];
+             m != 0; m &= m - 1) {
+          const int sm = static_cast<int>(w * 64) + std::countr_zero(m);
+          if (fits(sm)) return sm;
+        }
+      }
+    }
+    return -1;
+  }
+
+ private:
+  static std::uint64_t bit(int sm) { return std::uint64_t{1} << (sm % 64); }
+  std::uint64_t& word(int count, int sm) {
+    return bits_[static_cast<std::size_t>(count) * words_ +
+                 static_cast<std::size_t>(sm / 64)];
+  }
+  void set(int count, int sm) { word(count, sm) |= bit(sm); }
+
+  std::size_t words_;
+  int max_blocks_;
+  std::vector<std::uint64_t> bits_;
+};
+
+// occupancy() once per distinct block footprint; a launch has one or two.
+class OccupancyMemo {
+ public:
+  explicit OccupancyMemo(const GpuArch& arch) : arch_(arch) {}
+
+  int blocks_per_sm(const BlockWork& b) {
+    const BlockResources r{b.threads, b.regs_per_thread, b.smem_bytes};
+    for (const auto& [seen, limit] : seen_)
+      if (seen == r) return limit;
+    seen_.emplace_back(r, occupancy(arch_, r).blocks_per_sm);
+    return seen_.back().second;
+  }
+
+ private:
+  const GpuArch& arch_;
+  std::vector<std::pair<BlockResources, int>> seen_;
+};
+
 struct KernelState {
   const KernelWork* work = nullptr;
   int stream = 0;
@@ -78,6 +145,7 @@ SimStats simulate(const GpuArch& arch,
   std::vector<KernelState> ks(kernels.size());
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
 
+  OccupancyMemo occupancy_of(arch);
   std::int64_t pending_total = 0;  // dispatchable blocks of ready kernels
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     CTB_CHECK(kernels[i].work != nullptr);
@@ -88,9 +156,7 @@ SimStats simulate(const GpuArch& arch,
     for (const auto& b : kernels[i].work->blocks) {
       if (b.tiles.empty()) ++stats.bubble_blocks;
       // Validate launchability once up front.
-      const OccupancyResult occ = occupancy(
-          arch, BlockResources{b.threads, b.regs_per_thread, b.smem_bytes});
-      CTB_CHECK_MSG(occ.blocks_per_sm > 0,
+      CTB_CHECK_MSG(occupancy_of.blocks_per_sm(b) > 0,
                     "block (threads=" << b.threads << ", regs="
                                       << b.regs_per_thread << ", smem="
                                       << b.smem_bytes
@@ -103,6 +169,8 @@ SimStats simulate(const GpuArch& arch,
   }
 
   std::vector<SmState> sms(static_cast<std::size_t>(arch.sm_count));
+  SmBuckets by_blocks(arch.sm_count, arch.max_blocks_per_sm);
+  int busy_sms = 0;  // SMs with at least one resident block
   int resident_total = 0;
   double now = 0.0;
   double resident_integral = 0.0;  // Σ resident_blocks * dt
@@ -141,15 +209,13 @@ SimStats simulate(const GpuArch& arch,
         const BlockWork& b =
             k.work->blocks[static_cast<std::size_t>(k.next_block)];
         // Least-loaded SM with room; ties break to the lowest index.
-        int best = -1;
-        for (int s = 0; s < arch.sm_count; ++s) {
-          if (!sms[static_cast<std::size_t>(s)].fits(arch, b)) continue;
-          if (best < 0 || sms[static_cast<std::size_t>(s)].blocks <
-                              sms[static_cast<std::size_t>(best)].blocks)
-            best = s;
-        }
+        const int best = by_blocks.first([&](int s) {
+          return sms[static_cast<std::size_t>(s)].fits(arch, b);
+        });
         if (best < 0) continue;
         SmState& sm = sms[static_cast<std::size_t>(best)];
+        if (sm.blocks == 0) ++busy_sms;
+        by_blocks.move(best, sm.blocks, sm.blocks + 1);
         sm.add(arch, b);
         ++resident_total;
         --pending_total;
@@ -159,12 +225,11 @@ SimStats simulate(const GpuArch& arch,
         // Effective steady-state residency: this SM will keep receiving
         // blocks from the backlog, so the block should be priced against
         // the contention it will actually experience.
-        const OccupancyResult occ = occupancy(
-            arch, BlockResources{b.threads, b.regs_per_thread, b.smem_bytes});
         const std::int64_t backlog_share =
             pending_total / std::max(1, arch.sm_count);
         const int eff_on_sm = static_cast<int>(std::clamp<std::int64_t>(
-            sm.blocks + backlog_share, sm.blocks, occ.blocks_per_sm));
+            sm.blocks + backlog_share, sm.blocks,
+            occupancy_of.blocks_per_sm(b)));
         const std::int64_t eff_total_cap =
             static_cast<std::int64_t>(eff_on_sm) * arch.sm_count;
         const int eff_total = static_cast<int>(std::min<std::int64_t>(
@@ -217,9 +282,7 @@ SimStats simulate(const GpuArch& arch,
     const double dt = ev.time_us - now;
     if (dt > 0) {
       resident_integral += resident_total * dt;
-      int busy = 0;
-      for (const auto& sm : sms) busy += sm.blocks > 0 ? 1 : 0;
-      busy_integral += busy * dt;
+      busy_integral += busy_sms * dt;
       now = ev.time_us;
     }
     if (ev.kind == EventKind::kLauncherFree) {
@@ -236,7 +299,10 @@ SimStats simulate(const GpuArch& arch,
       KernelState& k = ks[static_cast<std::size_t>(ev.kernel)];
       const BlockWork& b =
           k.work->blocks[static_cast<std::size_t>(ev.block)];
-      sms[static_cast<std::size_t>(ev.sm)].remove(arch, b);
+      SmState& sm = sms[static_cast<std::size_t>(ev.sm)];
+      sm.remove(arch, b);
+      by_blocks.move(ev.sm, sm.blocks + 1, sm.blocks);
+      if (sm.blocks == 0) --busy_sms;
       --resident_total;
       --k.unfinished;
       if (k.unfinished == 0 && k.stream >= 0) {

@@ -26,6 +26,8 @@ struct TileWork {
   std::int64_t epilogue_bytes = 0;   ///< C write-back (+ beta read) bytes.
   std::int64_t epilogue_flops = 0;   ///< alpha/beta scaling flops.
   std::int64_t flops = 0;            ///< useful FMA flops (2*m*n*k share).
+
+  bool operator==(const TileWork&) const = default;
 };
 
 /// One thread block: resource footprint plus its chain of tiles. A block
@@ -51,6 +53,8 @@ struct BlockWork {
   bool fp16 = false;
   std::vector<TileWork> tiles;
 
+  bool operator==(const BlockWork&) const = default;
+
   std::int64_t total_flops() const {
     std::int64_t f = 0;
     for (const auto& t : tiles) f += t.flops + t.epilogue_flops;
@@ -68,6 +72,8 @@ struct BlockWork {
 /// per-block work list.
 struct KernelWork {
   std::vector<BlockWork> blocks;
+
+  bool operator==(const KernelWork&) const = default;
 
   std::int64_t total_flops() const {
     std::int64_t f = 0;

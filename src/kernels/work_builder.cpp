@@ -56,6 +56,7 @@ BlockWork block_for_tiles(std::span<const Tile> tiles,
   b.smem_bytes = smem_bytes;
   b.regs_per_thread = regs_per_thread;
   b.fp16 = precision == Precision::kFp16;
+  b.tiles.reserve(tiles.size());
   int active = tiles.empty() ? block_threads : 0;
   for (const Tile& t : tiles) {
     const GemmDims& d = batch[static_cast<std::size_t>(t.gemm)];
@@ -136,10 +137,10 @@ KernelWork work_from_plan(const BatchPlan& plan,
                           Precision precision) {
   KernelWork kernel;
   kernel.blocks.reserve(static_cast<std::size_t>(plan.num_blocks()));
+  std::vector<Tile> tiles;  // scratch, reused across blocks
   for (int b = 0; b < plan.num_blocks(); ++b) {
     const auto [begin, end] = plan.block_tiles(b);
-    std::vector<Tile> tiles;
-    tiles.reserve(static_cast<std::size_t>(end - begin));
+    tiles.clear();
     for (int t = begin; t < end; ++t) {
       const int g = plan.gemm_of_tile[static_cast<std::size_t>(t)];
       const TilingStrategy& s = batched_strategy_by_id(

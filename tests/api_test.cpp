@@ -120,6 +120,26 @@ TEST(Planner, AutoOfflinePicksNoWorseThanEitherHeuristic) {
   EXPECT_LE(t_auto, std::min(t_thr, t_bin) + 1e-9);
 }
 
+TEST(Planner, Fp16AutoOfflineSplitKBaselineTimedAtFp16) {
+  // The heuristic is chosen from FP32 timings, but the split-K sweep must
+  // compare its candidates against the unsplit plan timed at FP16. This
+  // unsplit plan simulates in ~110 us at FP32 and ~23 us at FP16; taking
+  // the FP32 time as the baseline would wrongly pick a 232-tile split.
+  PlannerConfig config;
+  config.precision = Precision::kFp16;
+  ASSERT_EQ(config.policy, BatchingPolicy::kAutoOffline);
+  ASSERT_EQ(config.splitk, SplitKMode::kAuto);
+  const std::vector<GemmDims> dims = {{1840, 215, 1221}};
+  const PlanSummary s = BatchedGemmPlanner(config).plan(dims);
+  EXPECT_FALSE(s.plan.has_split());
+  EXPECT_EQ(s.plan.num_tiles(), 116);
+  // Identical to the chosen heuristic run as a fixed policy at FP16.
+  config.policy = s.heuristic == BatchingHeuristic::kThreshold
+                      ? BatchingPolicy::kThresholdOnly
+                      : BatchingPolicy::kBinaryOnly;
+  EXPECT_TRUE(BatchedGemmPlanner(config).plan(dims).plan == s.plan);
+}
+
 TEST(TimePlan, IncludesLaunchOverhead) {
   const std::vector<GemmDims> dims = {{16, 16, 16}};
   const BatchedGemmPlanner planner{PlannerConfig{}};

@@ -23,14 +23,7 @@ TEST(PlanIo, SaveLoadRoundTrip) {
   std::stringstream ss;
   save_plan(ss, s.plan);
   const BatchPlan loaded = load_plan(ss);
-  EXPECT_EQ(loaded.tile_offsets, s.plan.tile_offsets);
-  EXPECT_EQ(loaded.gemm_of_tile, s.plan.gemm_of_tile);
-  EXPECT_EQ(loaded.strategy_of_tile, s.plan.strategy_of_tile);
-  EXPECT_EQ(loaded.y_coord, s.plan.y_coord);
-  EXPECT_EQ(loaded.x_coord, s.plan.x_coord);
-  EXPECT_EQ(loaded.block_threads, s.plan.block_threads);
-  EXPECT_EQ(loaded.smem_bytes, s.plan.smem_bytes);
-  EXPECT_EQ(loaded.regs_per_thread, s.plan.regs_per_thread);
+  EXPECT_TRUE(loaded == s.plan);
   // The reloaded plan still validates against the batch.
   const auto dims = sample_batch();
   EXPECT_NO_THROW(validate_plan(loaded, dims));
