@@ -119,10 +119,8 @@ PlanSummary BatchedGemmPlanner::plan(std::span<const GemmDims> dims) const {
       const BatchPlan bin = batch_binary(tiles, threads, batching_config);
       const double t_thr =
           time_plan(arch_, thr, dims, Precision::kFp32).time_us;
-      // Identical plans time identically, and the tie keeps threshold.
       const double t_bin =
-          bin == thr ? t_thr
-                     : time_plan(arch_, bin, dims, Precision::kFp32).time_us;
+          time_plan(arch_, bin, dims, Precision::kFp32).time_us;
       summary.heuristic = t_thr <= t_bin ? BatchingHeuristic::kThreshold
                                          : BatchingHeuristic::kBinary;
       if (t_thr <= t_bin)
